@@ -91,16 +91,31 @@ class Assembler:
         self.n_dofs = dofmap.n_dofs
         # Sentinel slot n_dofs catches constrained nodes on gather/scatter.
         self.gather = np.where(tri_dofs < 0, self.n_dofs, tri_dofs)
-        rows, cols = [], []
-        for j in range(3):
-            for k in range(3):
-                rows.append(tri_dofs[:, j])
-                cols.append(tri_dofs[:, k])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        self._pair_mask = (rows >= 0) & (cols >= 0)
-        self._rows = rows[self._pair_mask]
-        self._cols = cols[self._pair_mask]
+
+        # Field-independent blocks of the local Jacobians, flattened (j, k):
+        # w_q phi_j phi_k per quadrature point, grad(phi_j).grad(phi_k) per triangle.
+        wphi = self.w[None, :] * self.phi
+        self._mass_table = (wphi[:, None, :] * self.phi[None, :, :]).reshape(9, -1).T.copy()
+        gx, gy = self.grads[:, :, 0], self.grads[:, :, 1]
+        self._stiff = (gx[:, :, None] * gx[:, None, :]
+                       + gy[:, :, None] * gy[:, None, :]).reshape(nt, 9)
+        self._build_pattern(tri_dofs)
+
+    def _build_pattern(self, tri_dofs):
+        """Canonical CSR pattern of the Jacobian and the map from the 9*nt
+        local entries (triangle-major, then j, k) to its nonzeros; entries
+        touching a constrained node map to the spill slot nnz."""
+        n = self.n_dofs
+        rows = np.repeat(tri_dofs, 3, axis=1).ravel()
+        cols = np.tile(tri_dofs, (1, 3)).ravel()
+        free = (rows >= 0) & (cols >= 0)
+        keys, slots = np.unique(rows[free] * n + cols[free], return_inverse=True)
+        self._nnz = keys.shape[0]
+        self._scatter = np.full(rows.shape[0], self._nnz, dtype=np.int32)
+        self._scatter[free] = slots
+        self._indices = (keys % n).astype(np.int32)
+        self._indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self._indptr[1:])
 
     # -- field evaluation ------------------------------------------------
 
@@ -108,15 +123,23 @@ class Assembler:
         u_ext = np.append(np.asarray(u, dtype=float), 0.0)
         return u_ext[self.gather]  # (nt, 3)
 
+    def _gradient(self, uv):
+        g = self.grads
+        return np.stack([uv[:, 0] * g[:, 0, d] + uv[:, 1] * g[:, 1, d] + uv[:, 2] * g[:, 2, d]
+                         for d in (0, 1)], axis=1)
+
+    def _dot_grads(self, g):
+        """g . grad(phi_k) per triangle and vertex, (nt, 3)."""
+        return self.grads[:, :, 0] * g[:, 0:1] + self.grads[:, :, 1] * g[:, 1:2]
+
     def gradient(self, u):
         """Per-triangle constant gradient of the P1 field, (nt, 2)."""
-        uv = self._vertex_values(u)
-        return np.einsum("tk,tkd->td", uv, self.grads)
+        return self._gradient(self._vertex_values(u))
 
     def at_quadrature(self, u):
         return self._vertex_values(u) @ self.phi  # (nt, nq)
 
-    def _diffusion(self, u, prob, gu):
+    def _diffusion(self, prob, gu):
         """(per-triangle integral of the scalar coefficient, coefficient matrix or None)."""
         if prob.kind == SEMILINEAR:
             aq = _at_points(prob.alpha, self.qx, self.qy)
@@ -125,7 +148,7 @@ class Assembler:
             if amin <= 0.0:
                 raise ValueError(f"diffusion coefficient must be positive (min {amin:g})")
             return self.det * (aq @ self.w), None
-        anorm = np.sqrt(np.einsum("td,td->t", gu, gu) + prob.grad_eps ** 2)
+        anorm = np.sqrt(gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1] + prob.grad_eps ** 2)
         return self.area * anorm, anorm
 
     # -- operators --------------------------------------------------------
@@ -133,46 +156,43 @@ class Assembler:
     def residual(self, u, prob):
         """Dual vector of the semilinear operator minus the load."""
         uv = self._vertex_values(u)
-        gu = np.einsum("tk,tkd->td", uv, self.grads)
+        gu = self._gradient(uv)
         uq = uv @ self.phi
-        coef, _ = self._diffusion(u, prob, gu)
+        coef, _ = self._diffusion(prob, gu)
 
         bq = _at_points(prob.beta, self.qx, self.qy, uq)
         fq = _at_points(prob.source, self.qx, self.qy)
         react = self.det[:, None] * ((bq - fq) @ (self.w[:, None] * self.phi.T))  # (nt, 3)
 
-        out = np.zeros(self.n_dofs + 1)
-        for k in range(3):
-            flux = coef * np.einsum("td,td->t", gu, self.grads[:, k, :])
-            np.add.at(out, self.gather[:, k], flux + react[:, k])
+        local = coef[:, None] * self._dot_grads(gu) + react
+        out = np.bincount(self.gather.T.ravel(), weights=local.T.ravel(),
+                          minlength=self.n_dofs + 1)
         return out[: self.n_dofs]
 
     def jacobian(self, w, prob):
-        """Sparse symmetric linearization at the field w."""
+        """Sparse symmetric linearization at the field w, in canonical CSR."""
         wv = self._vertex_values(w)
-        gw = np.einsum("tk,tkd->td", wv, self.grads)
+        gw = self._gradient(wv) if prob.kind != SEMILINEAR else None
         wq = wv @ self.phi
-        coef, anorm = self._diffusion(w, prob, gw)
+        coef, anorm = self._diffusion(prob, gw)
 
         byq = _at_points(prob.beta_y, self.qx, self.qy, wq)
         if byq.size:
             prob.record_probe("beta_y_min", float(byq.min()))
-        wphi = self.w[None, :] * self.phi  # (3, nq) scaled test values
-        mass_coef = self.det[:, None, None] * np.einsum("tq,jq,kq->tjk", byq, wphi, self.phi)
+        mass = self.det[:, None] * (byq @ self._mass_table)  # (nt, 9)
 
         if prob.kind == SEMILINEAR:
-            stiff = coef[:, None, None] * np.einsum("tjd,tkd->tjk", self.grads, self.grads)
+            stiff = coef[:, None] * self._stiff
         else:
             # d/dg [sqrt(|g|^2+eps^2) g] = a I + (g x g)/a with a the regularized modulus
-            gg = np.einsum("tjd,tkd->tjk", self.grads, self.grads)
-            gdotj = np.einsum("td,tjd->tj", gw, self.grads)
-            rank1 = np.einsum("tj,tk->tjk", gdotj, gdotj) / anorm[:, None, None]
-            stiff = self.area[:, None, None] * (anorm[:, None, None] * gg + rank1)
+            gdotj = self._dot_grads(gw)
+            rank1 = (gdotj[:, :, None] * gdotj[:, None, :]).reshape(-1, 9) / anorm[:, None]
+            stiff = self.area[:, None] * (anorm[:, None] * self._stiff + rank1)
 
-        vals = (stiff + mass_coef).transpose(1, 2, 0).reshape(-1)[self._pair_mask]
-        mat = sp.coo_matrix((vals, (self._rows, self._cols)),
-                            shape=(self.n_dofs, self.n_dofs))
-        return mat.tocsr()
+        data = np.bincount(self._scatter, weights=(stiff + mass).ravel(),
+                           minlength=self._nnz + 1)[: self._nnz]
+        return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
+                             shape=(self.n_dofs, self.n_dofs))
 
     def h1_matrix(self):
         """Gram matrix of the discrete H1 inner product (stiffness + mass)."""

@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -194,8 +195,7 @@ def _atomic_write(path, text):
 
 def _write_report_csv(report, path, timing):
     if not timing:
-        for row in report.rows:
-            row.seconds = 0.0
+        report = replace(report, rows=[replace(row, seconds=0.0) for row in report.rows])
     import io
 
     buf = io.StringIO()

@@ -297,9 +297,10 @@ class _RowRecorder:
         self._c2 = ws2.newton_iters
 
     def add(self, n, residual, u1, u2):
+        # the meter runs first, so each row is billed its own error time
+        err = self.meter(u1, u2) if (self.meter and u1 is not None) else float("nan")
         now = time.perf_counter()
         c1, c2 = self.ws1.newton_iters, self.ws2.newton_iters
-        err = self.meter(u1, u2) if (self.meter and u1 is not None) else float("nan")
         self.rows.append(IterationRow(n, err, residual,
                                       c1 - self._c1, c2 - self._c2, now - self._t))
         self._t, self._c1, self._c2 = now, c1, c2

@@ -21,6 +21,10 @@ from scipy.sparse.linalg import splu
 from .assembly import DEFAULT_DEGREE, Assembler, FieldVector, interface_mass_matrix
 from .splitting import MonotoneOperator, SingularJacobian
 
+# Every Jacobian factored here is symmetric, so a minimum-degree ordering of
+# the pattern of A^T + A keeps the LU fill lower than SuperLU's COLAMD default.
+ORDERING = "MMD_AT_PLUS_A"
+
 
 class NewtonDivergence(RuntimeError):
     """Subdomain Newton failed; carries the residual-norm history."""
@@ -100,7 +104,7 @@ def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter,
                 f"(residual {rnorm:.3e}, tol {tol:.3e})", history)
         jac = jacobian_fn(u)
         try:
-            lu = splu(sp.csc_matrix(jac))
+            lu = splu(sp.csc_matrix(jac), permc_spec=ORDERING)
         except RuntimeError as exc:
             raise SingularJacobian(f"sparse factorization failed: {exc}") from exc
         step = lu.solve(-r)
@@ -174,6 +178,13 @@ class SubdomainWorkspace:
             raise ValueError(f"interface vector length {len(vec)} != {self.k}")
         return vec.data
 
+    def _tolerance(self, tol):
+        if tol is None:
+            return self.newton_tol
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"Newton tolerance must be finite and non-negative, got {tol!r}")
+        return tol
+
     def _cached(self, kind, point, build):
         key = _point_key(point)
         slot = self._cache.get(kind)
@@ -221,6 +232,7 @@ class SubdomainWorkspace:
         tolerance.
         """
         eta_data = self._require(eta, dual=False)
+        tol = self._tolerance(tol)
         hit = self._cache.get("dirichlet_field")
         if hit is not None and hit[0] == _point_key(eta_data):
             self.last_dirichlet = hit[1]
@@ -241,7 +253,7 @@ class SubdomainWorkspace:
         warm = self._warm.get("dirichlet")
         u0 = warm[:m] if warm is not None else np.zeros(m)
         ui, iters, _ = sparse_newton(residual, jacobian, u0,
-                                     tol or self.newton_tol, self.newton_max)
+                                     tol, self.newton_max)
         self.newton_iters += iters
         out = np.concatenate([ui, eta_data.copy()])
         self._warm["dirichlet"] = out
@@ -262,6 +274,7 @@ class SubdomainWorkspace:
         psi; its trace realizes the inverse interface operator.
         """
         psi_data = self._require(psi, dual=True)
+        tol = self._tolerance(tol)
         m = self.m
 
         def residual(u):
@@ -275,7 +288,7 @@ class SubdomainWorkspace:
         warm = self._warm.get("neumann")
         u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
         u, iters, _ = sparse_newton(residual, jacobian, u0,
-                                    tol or self.newton_tol, self.newton_max)
+                                    tol, self.newton_max)
         self.newton_iters += iters
         self._warm["neumann"] = u
         result = FieldVector(u, m)
@@ -285,6 +298,7 @@ class SubdomainWorkspace:
     def robin_solve(self, g, robin_s, tol=None):
         """Solve with Robin coupling: interface residual + s*M_Gamma*trace = g."""
         g_data = self._require(g, dual=True)
+        tol = self._tolerance(tol)
         mass = self.mass_gamma
         m = self.m
         penalty = robin_s * self._mass_gamma_embedded
@@ -300,7 +314,7 @@ class SubdomainWorkspace:
         warm = self._warm.get("robin")
         u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
         u, iters, _ = sparse_newton(residual, jacobian, u0,
-                                    tol or self.newton_tol, self.newton_max)
+                                    tol, self.newton_max)
         self.newton_iters += iters
         self._warm["robin"] = u
         result = FieldVector(u, m)
@@ -314,7 +328,7 @@ class SubdomainWorkspace:
             eta = InterfaceVector(nu_data)
             w = self.dirichlet_solve(eta)
             jac = self.asm.jacobian(w.data, self.problem)
-            lu_ii = splu(sp.csc_matrix(jac[: self.m, : self.m]))
+            lu_ii = splu(sp.csc_matrix(jac[: self.m, : self.m]), permc_spec=ORDERING)
             return w, jac, lu_ii
 
         return self._cached("tangent", nu_data, build)
@@ -346,6 +360,7 @@ class SubdomainWorkspace:
         beta(x, 0) = 0).
         """
         psi_data = self._require(psi, dual=True)
+        tol = self._tolerance(tol)
         hom = self._homogeneous_problem()
         m = self.m
 
@@ -360,7 +375,7 @@ class SubdomainWorkspace:
         warm = self._warm.get("correction")
         u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
         u, iters, _ = sparse_newton(residual, jacobian, u0,
-                                    tol or self.newton_tol, self.newton_max)
+                                    tol, self.newton_max)
         self.newton_iters += iters
         self._warm["correction"] = u
         return FieldVector(u, m)

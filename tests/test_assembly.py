@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsemi.assembly import (Assembler, FieldVector, assemble_jacobian,
                              assemble_residual, interface_mass_matrix)
 from ddsemi.mesh import DofMap, TriMesh, build_rect_mesh, decompose_vertical
+from ddsemi.oracle import dense_brute_force, mesh_global_dofmap
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
+from ddsemi.subdomain import SubdomainWorkspace
 
 
 def free_triangle_dofmap(mesh, tri_index):
@@ -194,6 +198,93 @@ class TestJacobian:
         r1 = asm.residual(w, prob)
         r2 = asm.residual(w, prob)
         assert (r1 == r2).all()
+
+
+def assert_canonical_csr(mat):
+    assert mat.format == "csr"
+    for i in range(mat.shape[0]):
+        cols = mat.indices[mat.indptr[i]:mat.indptr[i + 1]]
+        assert (np.diff(cols) > 0).all(), f"row {i} unsorted or duplicated"
+
+
+def assert_matches_dense(sparse, dense):
+    gap = np.abs(sparse.toarray() - dense).max(initial=0.0)
+    assert gap <= 1e-12 * max(1.0, np.abs(dense).max(initial=0.0))
+
+
+class TestSparsityPattern:
+    def test_canonical_csr(self):
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_vertical(m, 1.5)
+        for side in (1, 2):
+            asm = Assembler(m, d.side_triangles(side), d.side_dofmap(side))
+            jac = asm.jacobian(np.zeros(asm.n_dofs), cubic_reaction_problem())
+            assert_canonical_csr(jac)
+
+    def test_pattern_fixed_across_calls(self):
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_vertical(m, 1.5)
+        asm = Assembler(m, d.side_triangles(2), d.side_dofmap(2))
+        rng = np.random.default_rng(5)
+        first = asm.jacobian(np.zeros(asm.n_dofs), cubic_reaction_problem())
+        for prob in (cubic_reaction_problem(), p_laplace_problem(), linear_problem()):
+            jac = asm.jacobian(rng.standard_normal(asm.n_dofs), prob)
+            np.testing.assert_array_equal(jac.indptr, first.indptr)
+            np.testing.assert_array_equal(jac.indices, first.indices)
+
+    def test_returned_pattern_is_not_shared(self):
+        # mutating one returned matrix in place must not leak into the next
+        m = build_rect_mesh(2, 1, 0.25)
+        asm = Assembler(m, np.arange(m.n_triangles), mesh_global_dofmap(m))
+        prob = linear_problem()
+        first = asm.jacobian(np.zeros(asm.n_dofs), prob)
+        expected = first.toarray()
+        first.data[:] = 0.0
+        first.eliminate_zeros()
+        np.testing.assert_array_equal(asm.jacobian(np.zeros(asm.n_dofs), prob).toarray(),
+                                      expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), inv_h=st.sampled_from([4, 6, 8]),
+           kind=st.sampled_from(["cubic", "plaplace"]),
+           subset=st.sampled_from(["all", "side1", "side2", "random"]))
+    def test_matches_dense_oracle(self, seed, inv_h, kind, subset):
+        m = build_rect_mesh(1, 0.5, 1 / inv_h)  # at most 45 nodes
+        d = decompose_vertical(m, 0.5)
+        rng = np.random.default_rng(seed)
+        if subset == "all":
+            dofmap, tris = mesh_global_dofmap(m), np.arange(m.n_triangles)
+        elif subset == "random":
+            dofmap = mesh_global_dofmap(m)
+            tris = np.flatnonzero(rng.random(m.n_triangles) < 0.5)
+        else:
+            side = 1 if subset == "side1" else 2
+            dofmap, tris = d.side_dofmap(side), d.side_triangles(side)
+        prob = cubic_reaction_problem() if kind == "cubic" else p_laplace_problem()
+        asm = Assembler(m, tris, dofmap)
+        oracle = dense_brute_force(prob, m, dofmap, tris)
+        w = rng.standard_normal(dofmap.n_dofs)
+        jac = asm.jacobian(w, prob)
+        assert_canonical_csr(jac)
+        assert_matches_dense(jac, oracle.jacobian(w))
+
+    def test_robin_penalty_sum(self):
+        # the Robin Jacobian is the assembled one plus s times the embedded
+        # interface mass matrix
+        m = build_rect_mesh(1, 0.5, 1 / 8)
+        d = decompose_vertical(m, 0.5)
+        prob = cubic_reaction_problem()
+        ws = SubdomainWorkspace(m, d, prob, 1)
+        s = 46.0
+        mass = interface_mass_matrix(d).toarray()
+        oracle = dense_brute_force(prob, m, d.side_dofmap(1), d.side_triangles(1))
+        w = 0.5 * np.random.default_rng(6).standard_normal(ws.asm.n_dofs)
+        ws.mass_gamma  # builds the embedded interface mass matrix
+        robin = ws.asm.jacobian(w, prob) + s * ws._mass_gamma_embedded
+        expected = oracle.jacobian(w)
+        expected[ws.m:, ws.m:] += s * mass
+        assert_canonical_csr(robin)
+        assert_matches_dense(robin, expected)
 
 
 class TestFieldVector:

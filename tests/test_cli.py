@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ddsemi.cli import load_config, main, make_decomposition, make_problem, parse_h
+from ddsemi.cli import (_write_report_csv, load_config, main, make_decomposition,
+                        make_problem, parse_h)
+from ddsemi.iterations import IterationRow, MethodReport
 from ddsemi.mesh import build_rect_mesh
 
 
@@ -97,6 +99,16 @@ class TestRunCommand:
             outs.append((out / "dn_h8.csv").read_bytes()
                         + (out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_csv_without_timing_leaves_report_intact(self, tmp_path):
+        rows = [IterationRow(n, 0.5 ** n, 1.0, 2, 3, 1.25 + n) for n in range(3)]
+        report = MethodReport("dn", rows, "converged")
+        path = tmp_path / "dn.csv"
+        _write_report_csv(report, str(path), timing=False)
+        assert [row.seconds for row in report.rows] == [1.25, 2.25, 3.25]
+        assert report.rows is rows
+        seconds = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
+        assert all(float(x) == 0.0 for x in seconds)
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,30 @@ class TestDirichletNeumann:
         assert all(row.newton1 >= 0 for row in rep.rows)
         assert sum(row.newton2 for row in rep.rows) > 0
         assert [row.n for row in rep.rows] == list(range(len(rep.rows)))
+
+
+class TestRowTiming:
+    @pytest.mark.parametrize("run, cfg", [
+        (run_dirichlet_neumann, DNConfig(s=0.36, max_iter=2, stop_tol=1e-300)),
+        (run_robin_robin, RRConfig(s=46.0, max_iter=2, stop_tol=1e-300)),
+        (run_neumann_neumann, NNConfig(s1=0.02, s2=0.02, max_iter=2, stop_tol=1e-300)),
+    ])
+    def test_each_row_billed_its_own_meter_time(self, cubic_setup, monkeypatch, run, cfg):
+        # a slow meter that the subdomain solves cannot outweigh: every
+        # row, row 0 included, must contain one full meter delay
+        delay = 0.25
+        meter = RelativeFieldError.__call__
+
+        def slow_meter(self, u1, u2):
+            time.sleep(delay)
+            return meter(self, u1, u2)
+
+        monkeypatch.setattr(RelativeFieldError, "__call__", slow_meter)
+        prob, mesh, decomp, ref = cubic_setup
+        ws1, ws2 = fresh_workspaces(prob, mesh, decomp)
+        rep = run(cfg, ws1, ws2, ref)
+        assert len(rep.rows) == 3
+        assert all(delay <= row.seconds < 2 * delay for row in rep.rows)
 
 
 class TestLemmaEquivalence:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddsemi import subdomain
 from ddsemi.assembly import Assembler
 from ddsemi.mesh import build_rect_mesh, decompose_vertical
 from ddsemi.oracle import dense_brute_force, solve_monolithic
@@ -317,3 +318,57 @@ class TestWorkspaceState:
         with pytest.raises(NewtonDivergence) as info:
             ws.dirichlet_solve(InterfaceVector(np.full(decomp.n_interface, 5.0)))
         assert len(info.value.history) >= 1
+
+
+def _call_solve(ws, kind, tol):
+    k = ws.k
+    if kind == "dirichlet":
+        return ws.dirichlet_solve(InterfaceVector(np.full(k, 0.1)), tol=tol)
+    if kind == "neumann":
+        return ws.neumann_solve(InterfaceVector(np.full(k, 0.01), dual=True), tol=tol)
+    if kind == "robin":
+        return ws.robin_solve(InterfaceVector(np.full(k, 0.01), dual=True), 46.0, tol=tol)
+    return ws.neumann_correction_solve(InterfaceVector(np.full(k, 0.01), dual=True), tol=tol)
+
+
+SOLVE_KINDS = ("dirichlet", "neumann", "robin", "correction")
+
+
+class TestSolveTolerance:
+    @pytest.fixture
+    def spy_tols(self, monkeypatch):
+        seen = []
+        original = subdomain.sparse_newton
+
+        def spy(residual_fn, jacobian_fn, u0, tol, max_iter):
+            seen.append(tol)
+            # record the tolerance asked for, but solve to a loose one
+            return original(residual_fn, jacobian_fn, u0, max(tol, 1e-8), max_iter)
+
+        monkeypatch.setattr(subdomain, "sparse_newton", spy)
+        return seen
+
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    def test_explicit_zero_is_not_unset(self, coarse_setup, spy_tols, kind):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        _call_solve(ws, kind, 0.0)
+        assert spy_tols == [0.0]
+
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    def test_none_uses_workspace_tolerance(self, coarse_setup, spy_tols, kind):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        _call_solve(ws, kind, None)
+        assert spy_tols == [ws.newton_tol]
+
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
+    def test_invalid_tolerance_rejected(self, coarse_setup, kind, tol):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        if kind == "dirichlet":
+            # a cached field must not let a bad tolerance through either
+            _call_solve(ws, kind, None)
+        with pytest.raises(ValueError, match="tolerance"):
+            _call_solve(ws, kind, tol)
