@@ -145,9 +145,12 @@ class Assembler:
             aq = _at_points(prob.alpha, self.qx, self.qy)
             amin = float(aq.min()) if aq.size else np.inf
             prob.record_probe("alpha_min", amin)
-            if amin <= 0.0:
-                raise ValueError(f"diffusion coefficient must be positive (min {amin:g})")
-            return self.det * (aq @ self.w), None
+            coef = self.det * (aq @ self.w)
+            # a non-finite value at any point makes its triangle's integral non-finite
+            if not (amin > 0.0 and np.isfinite(coef).all()):
+                raise ValueError(
+                    f"diffusion coefficient must be positive and finite (min {amin:g})")
+            return coef, None
         anorm = np.sqrt(gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1] + prob.grad_eps ** 2)
         return self.area * anorm, anorm
 

@@ -3,8 +3,10 @@
 Configuration comes from plain-text ``key = value`` files ('#' comments)
 overridden by command-line flags. Outputs are one CSV per (method, h) with
 the fixed schema n,error,residual,newton1,newton2,seconds plus a JSON
-summary; files are written atomically. Exit codes: 0 success, 1 solver
-failure, 2 configuration error.
+summary; files are written atomically. Exit codes: 0 success (an inner
+Newton failure during a method run is reported as its "solver-failure"
+termination), 1 set-up failure such as the reference solve or an invalid
+coefficient, 2 configuration error.
 """
 
 import argparse
@@ -24,8 +26,7 @@ from .iterations import (DNConfig, NNConfig, RRConfig, run_dirichlet_neumann,
 from .mesh import build_rect_mesh, decompose_staircase, decompose_vertical
 from .oracle import solve_monolithic
 from .problems import cubic_reaction_problem, p_laplace_problem
-from .splitting import NonConvergence, SingularJacobian
-from .subdomain import NewtonDivergence, SubdomainWorkspace
+from .subdomain import SubdomainWorkspace
 
 DESK_MESHES = "1/16,1/32,1/64"
 FULL_MESHES = "1/64,1/128,1/256"
@@ -384,13 +385,8 @@ def _sweep_cell(exp, method, s, tol):
     if s <= 0:
         return {"s": s, "status": "no-progress", "converged": False,
                 "iterations_to_tol": None, "final_error": None}
-    try:
-        report, _ = exp.run_method(method, s=s)
-    except (NewtonDivergence, NonConvergence, SingularJacobian) as exc:
-        return {"s": s, "status": f"failed: {exc}", "converged": False,
-                "iterations_to_tol": None, "final_error": None}
-    status = report.termination
-    return {"s": s, "status": status, "converged": report.converged,
+    report, _ = exp.run_method(method, s=s)
+    return {"s": s, "status": report.termination, "converged": report.converged,
             "iterations_to_tol": report.iterations_to(tol),
             "final_error": None if np.isnan(report.final_error) else report.final_error}
 
@@ -420,7 +416,7 @@ def cmd_sweep(cfg):
             "" if c["iterations_to_tol"] is None else str(c["iterations_to_tol"]),
             str(c["converged"]).lower(),
             "" if c["final_error"] is None else repr(float(c["final_error"])),
-            c["status"].split(":")[0],
+            c["status"],
         ]))
     _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
 
@@ -489,7 +485,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # solver-side failure: diagnostic + exit 1
+    except Exception as exc:  # set-up failure: diagnostic + exit 1
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

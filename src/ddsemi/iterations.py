@@ -11,6 +11,13 @@ solves with the relaxed trace update) and the interface form, which runs
 the abstract relaxed-splitting engine on the two Steklov-Poincare
 operators. ``verify_lemma_equivalence`` checks their iterates against each
 other step by step.
+
+Every method runs on the outer loop of ``splitting.outer_iterate`` and
+supplies only its first-row and step functions (Neumann-Neumann also a
+stall test); ``_run_method`` records the rows and ends any run whose
+subdomain Newton fails with termination "solver-failure". The five
+terminations are "converged", "diverged", "stagnated", "max-iterations"
+and "solver-failure".
 """
 
 import json
@@ -20,12 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import Assembler
-from .splitting import (IterationConfig, SingularJacobian, SplittingProblem,
-                        splitting_iterate)
-from .subdomain import (InterfaceVector, NewtonDivergence, SteklovOperator,
-                        SubdomainWorkspace)
-
-DIVERGENCE_FACTOR = 1e6
+from .splitting import (IterationConfig, NonConvergence, SingularJacobian,
+                        SplittingProblem, outer_iterate, splitting_steps)
+from .subdomain import InterfaceVector, SteklovOperator, SubdomainWorkspace
 
 SUBDOMAIN_FORM = "subdomain-form"
 INTERFACE_FORM = "interface-form"
@@ -280,30 +284,53 @@ def compute_error(u1, u2, reference, mesh, decomp, degree=4):
     return RelativeFieldError(mesh, decomp, reference, degree)(u1, u2)
 
 
-def _zero_trace(decomp):
-    return InterfaceVector(np.zeros(decomp.n_interface))
-
-
 class _RowRecorder:
     """Tracks wall time and Newton-counter deltas between rows."""
 
-    def __init__(self, ws1, ws2, meter):
+    def __init__(self, ws1, ws2, meter, on_step):
         self.ws1 = ws1
         self.ws2 = ws2
         self.meter = meter
+        self.on_step = on_step
         self.rows = []
         self._t = time.perf_counter()
         self._c1 = ws1.newton_iters
         self._c2 = ws2.newton_iters
 
-    def add(self, n, residual, u1, u2):
+    def add(self, n, residual, u1, u2, vec):
+        """Append row n for the field pair (u1, u2), pass a copy of ``vec``
+        to on_step, and return the row."""
         # the meter runs first, so each row is billed its own error time
-        err = self.meter(u1, u2) if (self.meter and u1 is not None) else float("nan")
+        err = self.meter(u1, u2) if self.meter is not None else float("nan")
         now = time.perf_counter()
         c1, c2 = self.ws1.newton_iters, self.ws2.newton_iters
-        self.rows.append(IterationRow(n, err, residual,
-                                      c1 - self._c1, c2 - self._c2, now - self._t))
+        row = IterationRow(n, err, residual, c1 - self._c1, c2 - self._c2, now - self._t)
+        self.rows.append(row)
         self._t, self._c1, self._c2 = now, c1, c2
+        if self.on_step is not None:
+            self.on_step(n, np.array(vec, dtype=float, copy=True))
+        return row
+
+
+def _run_method(method, cfg, ws1, ws2, reference, on_step, steps):
+    """Run one interface method on the shared outer loop and report it.
+
+    ``steps(eta0, record)`` returns the method's first-row function, its
+    step function and optionally a stall test (see
+    ``splitting.outer_iterate``); ``record`` is ``_RowRecorder.add``, and
+    building the steps is billed to row 0. An inner Newton failure ends
+    every method as "solver-failure", keeping the rows recorded so far.
+    """
+    meter = RelativeFieldError(ws1.mesh, ws1.decomp, reference) if reference is not None else None
+    eta0 = cfg.eta0.copy() if cfg.eta0 is not None else \
+        InterfaceVector(np.zeros(ws1.decomp.n_interface))
+    rec = _RowRecorder(ws1, ws2, meter, on_step)
+    report = MethodReport(method, rec.rows)
+    try:
+        report.termination = outer_iterate(cfg.stop_tol, cfg.max_iter, *steps(eta0, rec.add))
+    except (NonConvergence, SingularJacobian):
+        report.termination = "solver-failure"
+    return report
 
 
 def run_dirichlet_neumann(cfg, ws1, ws2, reference=None, on_step=None):
@@ -313,78 +340,46 @@ def run_dirichlet_neumann(cfg, ws1, ws2, reference=None, on_step=None):
     functionals at the current trace) falls to cfg.stop_tol, on divergence
     (growth by 1e6 over the initial residual), or at cfg.max_iter.
     """
-    meter = RelativeFieldError(ws1.mesh, ws1.decomp, reference) if reference is not None else None
-    eta = cfg.eta0.copy() if cfg.eta0 is not None else _zero_trace(ws1.decomp)
-    if cfg.formulation == INTERFACE_FORM:
-        return _run_dn_interface_form(cfg, ws1, ws2, eta, meter, on_step)
-    rec = _RowRecorder(ws1, ws2, meter)
+    steps = _dn_interface_steps if cfg.formulation == INTERFACE_FORM else _dn_subdomain_steps
+    return _run_method("dn", cfg, ws1, ws2, reference, on_step,
+                       lambda eta0, record: steps(cfg, ws1, ws2, eta0, record))
 
-    s1 = ws1.apply_steklov_poincare(eta)
-    u1 = ws1.last_dirichlet
-    s2 = ws2.apply_steklov_poincare(eta)
-    u2 = ws2.last_dirichlet
-    residual = (s1 + s2).norm()
-    residual0 = residual
-    rec.add(0, residual, u1, u2)
-    if on_step is not None:
-        on_step(0, eta.data.copy())
 
-    report = MethodReport("dn", rec.rows)
-    n = 0
-    while True:
-        if residual <= cfg.stop_tol:
-            report.termination = "converged"
-            return report
-        if residual0 > 0 and residual > DIVERGENCE_FACTOR * residual0:
-            report.termination = "diverged"
-            return report
-        if n >= cfg.max_iter:
-            report.termination = "max-iterations"
-            return report
-        n += 1
+def _dn_subdomain_steps(cfg, ws1, ws2, eta, record):
+    """Subdomain form: both constrained solves at the trace, then side 2's
+    coupled solve against side 1's flux and the relaxed trace update."""
+    s1 = None
+
+    def constrained(n, u2=None):
+        nonlocal s1
+        s1 = ws1.apply_steklov_poincare(eta)
+        s2 = ws2.apply_steklov_poincare(eta)
+        return record(n, (s1 + s2).norm(), ws1.last_dirichlet,
+                      ws2.last_dirichlet if u2 is None else u2, eta.data).residual
+
+    def step(n):
+        nonlocal eta
         u2 = ws2.neumann_solve(-1.0 * s1)
         eta = cfg.s * ws2.trace(u2) + (1.0 - cfg.s) * eta
-        s1 = ws1.apply_steklov_poincare(eta)
-        u1 = ws1.last_dirichlet
-        s2 = ws2.apply_steklov_poincare(eta)
-        residual = (s1 + s2).norm()
-        rec.add(n, residual, u1, u2)
-        if on_step is not None:
-            on_step(n, eta.data.copy())
+        return constrained(n, u2)
+
+    return lambda: constrained(0), step
 
 
-def _run_dn_interface_form(cfg, ws1, ws2, eta, meter, on_step):
+def _dn_interface_steps(cfg, ws1, ws2, eta, record):
     """Interface form: the relaxed-splitting engine on the two
     Steklov-Poincare operators with zero right-hand side."""
     problem = SplittingProblem(SteklovOperator(ws1), SteklovOperator(ws2),
                                np.zeros(len(eta)))
-    icfg = IterationConfig(s=cfg.s, eta0=eta.data, max_outer=cfg.max_iter,
-                           outer_tol=cfg.stop_tol,
+    icfg = IterationConfig(s=cfg.s, eta0=eta.data,
                            newton_tol=min(ws1.newton_tol, ws2.newton_tol),
                            newton_max=ws2.newton_max)
-    marks = []
-    t0 = time.perf_counter()
-    c0 = (ws1.newton_iters, ws2.newton_iters)
 
-    def mark(step, vec):
-        marks.append((time.perf_counter(), ws1.newton_iters, ws2.newton_iters))
-        if on_step is not None:
-            on_step(step, vec)
+    def add(n, vec, residual, _newton_iters):
+        record(n, residual, ws1.last_dirichlet,
+               ws2.last_neumann if n else ws2.last_dirichlet, vec)
 
-    def error_fn(_vec):
-        u2 = ws2.last_neumann if ws2.last_neumann is not None else ws2.last_dirichlet
-        return meter(ws1.last_dirichlet, u2)
-
-    trace = splitting_iterate(problem, icfg,
-                              error_fn=error_fn if meter is not None else None,
-                              on_step=mark)
-    rows = []
-    prev = (t0,) + c0
-    for recd, mk in zip(trace.records, marks):
-        rows.append(IterationRow(recd.step, recd.error, recd.residual,
-                                 mk[1] - prev[1], mk[2] - prev[2], mk[0] - prev[0]))
-        prev = mk
-    return MethodReport("dn", rows, trace.termination)
+    return splitting_steps(problem, icfg, add)
 
 
 def run_robin_robin(cfg, ws1, ws2, reference=None, on_step=None):
@@ -395,44 +390,31 @@ def run_robin_robin(cfg, ws1, ws2, reference=None, on_step=None):
     functionals of the current pair, which equals s times the interface
     mass matrix applied to the trace jump.
     """
-    meter = RelativeFieldError(ws1.mesh, ws1.decomp, reference) if reference is not None else None
-    eta = cfg.eta0.copy() if cfg.eta0 is not None else _zero_trace(ws1.decomp)
-    mass = ws1.mass_gamma
-    rec = _RowRecorder(ws1, ws2, meter)
+    def steps(eta, record):
+        mass = ws1.mass_gamma
+        u2 = r2 = None
 
-    u1 = ws1.dirichlet_solve(eta)
-    u2 = ws2.dirichlet_solve(eta)
-    r1 = ws1.interface_residual(u1)
-    r2 = ws2.interface_residual(u2)
-    residual = (r1 + r2).norm()
-    residual0 = residual
-    rec.add(0, residual, u1, u2)
-    if on_step is not None:
-        on_step(0, ws2.trace(u2).data)
+        def first():
+            nonlocal u2, r2
+            u1 = ws1.dirichlet_solve(eta)
+            u2 = ws2.dirichlet_solve(eta)
+            r1 = ws1.interface_residual(u1)
+            r2 = ws2.interface_residual(u2)
+            return record(0, (r1 + r2).norm(), u1, u2, ws2.trace(u2).data).residual
 
-    report = MethodReport("rr", rec.rows)
-    n = 0
-    while True:
-        if residual <= cfg.stop_tol:
-            report.termination = "converged"
-            return report
-        if residual0 > 0 and residual > DIVERGENCE_FACTOR * residual0:
-            report.termination = "diverged"
-            return report
-        if n >= cfg.max_iter:
-            report.termination = "max-iterations"
-            return report
-        n += 1
-        g1 = InterfaceVector(cfg.s * (mass @ u2.interface) - r2.data, dual=True)
-        u1 = ws1.robin_solve(g1, cfg.s)
-        r1 = ws1.interface_residual(u1)
-        g2 = InterfaceVector(cfg.s * (mass @ u1.interface) - r1.data, dual=True)
-        u2 = ws2.robin_solve(g2, cfg.s)
-        r2 = ws2.interface_residual(u2)
-        residual = (r1 + r2).norm()
-        rec.add(n, residual, u1, u2)
-        if on_step is not None:
-            on_step(n, ws2.trace(u2).data)
+        def step(n):
+            nonlocal u2, r2
+            g1 = InterfaceVector(cfg.s * (mass @ u2.interface) - r2.data, dual=True)
+            u1 = ws1.robin_solve(g1, cfg.s)
+            r1 = ws1.interface_residual(u1)
+            g2 = InterfaceVector(cfg.s * (mass @ u1.interface) - r1.data, dual=True)
+            u2 = ws2.robin_solve(g2, cfg.s)
+            r2 = ws2.interface_residual(u2)
+            return record(n, (r1 + r2).norm(), u1, u2, ws2.trace(u2).data).residual
+
+        return first, step
+
+    return _run_method("rr", cfg, ws1, ws2, reference, on_step, steps)
 
 
 def run_neumann_neumann(cfg, ws1, ws2, reference=None, on_step=None):
@@ -442,62 +424,40 @@ def run_neumann_neumann(cfg, ws1, ws2, reference=None, on_step=None):
     the flux-jump residual, solves the source-free coupled problem on each
     side with that residual as interface data, and subtracts the weighted
     correction traces. Stagnation (no relative improvement of the best
-    error over ``stagnation_window`` consecutive steps while above
-    stop_tol) and inner solver failures terminate the run with the
-    corresponding non-convergence flag instead of raising.
+    error, or of the best residual without a reference, over
+    ``stagnation_window`` consecutive steps while above stop_tol) ends the
+    run as "stagnated".
     """
-    meter = RelativeFieldError(ws1.mesh, ws1.decomp, reference) if reference is not None else None
-    eta = cfg.eta0.copy() if cfg.eta0 is not None else _zero_trace(ws1.decomp)
-    rec = _RowRecorder(ws1, ws2, meter)
-    report = MethodReport("nn", rec.rows)
+    def steps(eta, record):
+        rho = None
+        best = np.inf
+        streak = 0
 
-    best = np.inf
-    streak = 0
-    residual0 = None
-    n = 0
-    while True:
-        try:
+        def constrained(n):
+            nonlocal rho, best, streak
             u1 = ws1.dirichlet_solve(eta)
             u2 = ws2.dirichlet_solve(eta)
             rho = ws1.interface_residual(u1) + ws2.interface_residual(u2)
-        except (NewtonDivergence, SingularJacobian):
-            report.termination = "solver-failure"
-            return report
-        residual = rho.norm()
-        if residual0 is None:
-            residual0 = residual
-        rec.add(n, residual, u1, u2)
-        if on_step is not None:
-            on_step(n, eta.data.copy())
+            row = record(n, rho.norm(), u1, u2, eta.data)
+            metric = row.residual if reference is None else row.error
+            if np.isfinite(metric):
+                streak = streak + 1 if metric >= best * (1.0 - cfg.stagnation_rtol) else 0
+                best = min(best, metric)
+            return row.residual
 
-        metric = rec.rows[-1].error if meter is not None else residual
-        if np.isfinite(metric):
-            if metric >= best * (1.0 - cfg.stagnation_rtol):
-                streak += 1
-            else:
-                streak = 0
-            best = min(best, metric)
-
-        if residual <= cfg.stop_tol:
-            report.termination = "converged"
-            return report
-        if residual0 > 0 and residual > DIVERGENCE_FACTOR * residual0:
-            report.termination = "diverged"
-            return report
-        if streak >= cfg.stagnation_window and best > cfg.stop_tol:
-            report.termination = "stagnated"
-            return report
-        if n >= cfg.max_iter:
-            report.termination = "max-iterations"
-            return report
-        n += 1
-        try:
+        def step(n):
+            nonlocal eta
             w1 = ws1.neumann_correction_solve(rho)
             w2 = ws2.neumann_correction_solve(rho)
-        except (NewtonDivergence, SingularJacobian):
-            report.termination = "solver-failure"
-            return report
-        eta = eta - (cfg.s1 * ws1.trace(w1) + cfg.s2 * ws2.trace(w2))
+            eta = eta - (cfg.s1 * ws1.trace(w1) + cfg.s2 * ws2.trace(w2))
+            return constrained(n)
+
+        def stalled():
+            return streak >= cfg.stagnation_window and best > cfg.stop_tol
+
+        return lambda: constrained(0), step, stalled
+
+    return _run_method("nn", cfg, ws1, ws2, reference, on_step, steps)
 
 
 @dataclass

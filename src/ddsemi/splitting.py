@@ -7,6 +7,9 @@ Solves G1(eta) + G2(eta) = chi in a finite-dimensional Hilbert space by
 with the inverse realized by damped Newton unless the operator supplies
 its own. The engine is generic over operators: the matrix-scale test
 battery and the interface (Steklov-Poincare) layer both drive it.
+
+Every solver in the package shares the two loops defined here:
+``damped_newton`` and the outer loop ``outer_iterate``.
 """
 
 from abc import ABC, abstractmethod
@@ -17,12 +20,14 @@ import scipy.linalg as la
 
 
 class NonConvergence(RuntimeError):
-    """Newton ran out of iterations or the line search stalled."""
+    """Newton ran out of iterations, the line search stalled, or the
+    residual stopped being finite; carries the residual-norm history."""
 
-    def __init__(self, message, iterations=None, residual=None):
+    def __init__(self, message, iterations=None, residual=None, history=None):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+        self.history = list(history or [])
 
 
 class SingularJacobian(RuntimeError):
@@ -86,10 +91,6 @@ class MonotoneOperator(ABC):
     def has_jacobian(self):
         return type(self).jacobian is not MonotoneOperator.jacobian
 
-    @property
-    def has_invert(self):
-        return type(self).invert is not MonotoneOperator.invert
-
     def invert(self, psi, x0, tol, max_iter, space=None):
         """Solve apply(x) = psi; returns (x, newton_iterations)."""
         result = newton_invert(self, psi, x0, tol, max_iter, space)
@@ -137,49 +138,67 @@ class NewtonResult:
     history: list
 
 
-def newton_invert(g, psi, x0, tol, max_iter, space=None, armijo=1e-4, min_step=2.0 ** -30):
-    """Damped Newton for g.apply(x) = psi with Armijo backtracking.
+def damped_newton(residual_fn, jacobian_fn, solve, norm, x0, tol, max_iter,
+                  at_floor=None, armijo=1e-4, min_step=2.0 ** -30):
+    """Damped Newton for residual_fn(x) = 0 with Armijo backtracking.
 
-    The merit function is the dual norm of the residual. Raises
-    SingularJacobian when the linearization cannot be solved and
-    NonConvergence when the budget or the line search is exhausted.
+    ``solve(jac, rhs)`` solves one linearized system and raises
+    SingularJacobian when it cannot; ``norm`` of the residual is the merit
+    function. When the line search stalls, ``at_floor(jac, x, rnorm)`` may
+    declare the current residual accurate to rounding, and x is returned
+    instead of raising NonConvergence.
     """
-    if not g.has_jacobian:
-        raise NonConvergence("operator provides neither jacobian nor custom inverse")
-    psi = np.asarray(psi, dtype=float)
-    space = space or HilbertSpace(psi.shape[0])
     x = np.array(x0, dtype=float, copy=True)
-    r = g.apply(x) - psi
-    rnorm = space.dual_norm(r)
+    r = residual_fn(x)
+    rnorm = norm(r)
     history = [rnorm]
     iters = 0
     while rnorm > tol:
         if not np.isfinite(rnorm):
-            raise NonConvergence("residual is not finite", iters, rnorm)
+            raise NonConvergence("residual is not finite", iters, rnorm, history)
         if iters >= max_iter:
             raise NonConvergence(
-                f"no convergence in {max_iter} Newton iterations (residual {rnorm:.3e})",
-                iters, rnorm)
-        jac = np.asarray(g.jacobian(x), dtype=float)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Newton linearization is singular: {exc}") from exc
+                f"no convergence in {max_iter} Newton iterations "
+                f"(residual {rnorm:.3e}, tol {tol:.3e})", iters, rnorm, history)
+        jac = jacobian_fn(x)
+        step = solve(jac, -r)
         t = 1.0
         while True:
             x_new = x + t * step
-            r_new = g.apply(x_new) - psi
-            rnorm_new = space.dual_norm(r_new)
+            r_new = residual_fn(x_new)
+            rnorm_new = norm(r_new)
             if rnorm_new <= (1.0 - armijo * t) * rnorm:
                 break
             t *= 0.5
             if t < min_step:
+                if at_floor is not None and at_floor(jac, x, rnorm):
+                    return NewtonResult(x, iters, rnorm, history)
+                history.append(rnorm_new)
                 raise NonConvergence("line search failed to reduce the residual",
-                                     iters, rnorm)
+                                     iters, rnorm, history)
         x, r, rnorm = x_new, r_new, rnorm_new
         iters += 1
         history.append(rnorm)
     return NewtonResult(x, iters, rnorm, history)
+
+
+def _dense_solve(jac, rhs):
+    try:
+        return np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"Newton linearization is singular: {exc}") from exc
+
+
+def newton_invert(g, psi, x0, tol, max_iter, space=None):
+    """Damped Newton for g.apply(x) = psi; the merit function is the dual
+    norm of the residual. Returns a NewtonResult."""
+    if not g.has_jacobian:
+        raise NonConvergence("operator provides neither jacobian nor custom inverse")
+    psi = np.asarray(psi, dtype=float)
+    space = space or HilbertSpace(psi.shape[0])
+    return damped_newton(lambda x: g.apply(x) - psi,
+                         lambda x: np.asarray(g.jacobian(x), dtype=float),
+                         _dense_solve, space.dual_norm, x0, tol, max_iter)
 
 
 def invert_operator(g, psi, x0=None, tol=1e-12, max_iter=50, space=None):
@@ -206,10 +225,6 @@ class SplittingProblem:
             out = np.asarray(g.apply(np.zeros_like(self.chi)))
             if out.shape != self.chi.shape:
                 raise ValueError(f"{name} dimension {out.shape} does not match chi")
-
-    @property
-    def dim(self):
-        return self.chi.shape[0]
 
 
 @dataclass
@@ -248,86 +263,92 @@ class IterationTrace:
     termination: str = "max-iterations"
 
     @property
-    def residuals(self):
-        return np.array([r.residual for r in self.records])
-
-    @property
     def errors(self):
         return np.array([r.error for r in self.records])
-
-    @property
-    def converged(self):
-        return self.termination == "converged"
-
-    @property
-    def final_residual(self):
-        return self.records[-1].residual
 
 
 DIVERGENCE_FACTOR = 1e6
 
 
-def splitting_iterate(problem, config, reference=None, error_fn=None, on_step=None):
-    """Run the relaxed splitting iteration and record its trace.
+def outer_iterate(tol, max_steps, first, step, stalled=None):
+    """The outer loop of the splitting iteration and of every interface
+    method; returns its termination.
 
-    Every iterate is recorded, starting with eta0 at step 0. Termination is
-    "converged" when the dual residual of G(eta) = chi drops to
-    config.outer_tol, "diverged" when it exceeds 1e6 times its initial
-    value, else "max-iterations". ``error_fn`` overrides the default error
-    column (distance to ``reference`` in the problem's norm); ``on_step``
-    is called as on_step(step, eta) after each record.
+    ``first()`` records the initial iterate and ``step(n)`` outer step
+    n = 1, 2, ...; both return the new residual. After each record the
+    checks run in this order: "converged" (residual <= tol), "diverged"
+    (above DIVERGENCE_FACTOR times the initial residual), "stagnated" (if
+    a ``stalled()`` test is given and holds), "max-iterations".
+    """
+    residual = residual0 = first()
+    n = 0
+    while True:
+        if residual <= tol:
+            return "converged"
+        if residual0 > 0 and residual > DIVERGENCE_FACTOR * residual0:
+            return "diverged"
+        if stalled is not None and stalled():
+            return "stagnated"
+        if n >= max_steps:
+            return "max-iterations"
+        n += 1
+        residual = step(n)
+
+
+def splitting_steps(problem, config, record):
+    """(first, step) of the relaxed splitting iteration for outer_iterate.
+
+    ``record(step, eta, residual, newton_iterations)`` sees every iterate,
+    eta0 at step 0; the residual is the dual norm of G(eta) - chi. An inner
+    failure is re-raised with its outer step (counted from 0) in the message.
     """
     space = problem.space
     eta = np.array(config.eta0, dtype=float, copy=True)
     if eta.shape != problem.chi.shape:
         raise ValueError("eta0 dimension does not match the problem")
-
-    def error_of(vec):
-        if error_fn is not None:
-            return float(error_fn(vec))
-        if reference is not None:
-            return space.norm(vec - np.asarray(reference, dtype=float))
-        return float("nan")
-
-    trace = IterationTrace()
-
-    def record(step, vec, residual, newton_iters):
-        trace.records.append(TraceRecord(step, space.norm(vec), residual,
-                                         error_of(vec), newton_iters))
-        if on_step is not None:
-            on_step(step, vec.copy())
-
-    g1v = np.asarray(problem.g1.apply(eta), dtype=float)
-    g2v = np.asarray(problem.g2.apply(eta), dtype=float)
-    residual = space.dual_norm(g1v + g2v - problem.chi)
-    residual0 = residual
-    record(0, eta, residual, 0)
-
     warm = eta.copy()
-    for n in range(config.max_outer):
-        if residual <= config.outer_tol:
-            trace.termination = "converged"
-            return trace
-        if residual0 > 0 and residual > DIVERGENCE_FACTOR * residual0:
-            trace.termination = "diverged"
-            return trace
-        psi = problem.chi - g1v
-        try:
-            x, inner_iters = problem.g2.invert(psi, warm, config.newton_tol,
-                                               config.newton_max, space)
-        except (NonConvergence, SingularJacobian) as exc:
-            raise type(exc)(f"inner solve failed at outer step {n}: {exc}") from exc
-        warm = x
-        eta = (1.0 - config.s) * eta + config.s * x
+    g1v = None
+
+    def evaluate(n, newton_iters):
+        nonlocal g1v
         g1v = np.asarray(problem.g1.apply(eta), dtype=float)
         g2v = np.asarray(problem.g2.apply(eta), dtype=float)
         residual = space.dual_norm(g1v + g2v - problem.chi)
-        record(n + 1, eta, residual, inner_iters)
+        record(n, eta, residual, newton_iters)
+        return residual
 
-    if residual <= config.outer_tol:
-        trace.termination = "converged"
-    elif residual0 > 0 and residual > DIVERGENCE_FACTOR * residual0:
-        trace.termination = "diverged"
+    def step(n):
+        nonlocal eta, warm
+        try:
+            warm, newton_iters = problem.g2.invert(problem.chi - g1v, warm, config.newton_tol,
+                                                   config.newton_max, space)
+        except (NonConvergence, SingularJacobian) as exc:
+            exc.args = (f"inner solve failed at outer step {n - 1}: {exc}",)
+            raise
+        eta = (1.0 - config.s) * eta + config.s * warm
+        return evaluate(n, newton_iters)
+
+    return lambda: evaluate(0, 0), step
+
+
+def splitting_iterate(problem, config, reference=None):
+    """Run the relaxed splitting iteration and record its trace.
+
+    Every iterate is recorded, eta0 at step 0, with its distance to
+    ``reference`` in the problem's norm (nan without one). Termination is
+    that of outer_iterate with config.outer_tol and config.max_outer.
+    """
+    space = problem.space
+    trace = IterationTrace()
+
+    def record(step, eta, residual, newton_iters):
+        error = float("nan") if reference is None else \
+            space.norm(eta - np.asarray(reference, dtype=float))
+        trace.records.append(TraceRecord(step, space.norm(eta), residual, error,
+                                         newton_iters))
+
+    trace.termination = outer_iterate(config.outer_tol, config.max_outer,
+                                      *splitting_steps(problem, config, record))
     return trace
 
 

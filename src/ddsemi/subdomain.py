@@ -19,19 +19,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import DEFAULT_DEGREE, Assembler, FieldVector, interface_mass_matrix
-from .splitting import MonotoneOperator, SingularJacobian
+from .splitting import MonotoneOperator, NonConvergence, SingularJacobian, damped_newton
 
 # Every Jacobian factored here is symmetric, so a minimum-degree ordering of
 # the pattern of A^T + A keeps the LU fill lower than SuperLU's COLAMD default.
 ORDERING = "MMD_AT_PLUS_A"
 
 
-class NewtonDivergence(RuntimeError):
-    """Subdomain Newton failed; carries the residual-norm history."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history or [])
+# importable under this name too: one failure class covers every Newton solve
+NewtonDivergence = NonConvergence
 
 
 @dataclass
@@ -79,57 +75,38 @@ class InterfaceVector:
         return self.data.shape[0]
 
 
-def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter,
-                  armijo=1e-4, min_step=2.0 ** -30):
-    """Damped Newton with sparse LU solves and Armijo backtracking.
+def _lu_solve(jac, rhs):
+    try:
+        lu = splu(sp.csc_matrix(jac), permc_spec=ORDERING)
+    except RuntimeError as exc:
+        raise SingularJacobian(f"sparse factorization failed: {exc}") from exc
+    step = lu.solve(rhs)
+    if not np.all(np.isfinite(step)):
+        raise SingularJacobian("factorization produced non-finite Newton step")
+    return step
+
+
+def _at_rounding_floor(jac, u, rnorm):
+    floor = np.finfo(float).eps * max(1.0, float(np.abs(jac.diagonal()).max())) \
+        * (1.0 + float(np.abs(u).max()))
+    return rnorm <= 1e3 * floor
+
+
+def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter):
+    """Damped Newton with sparse LU solves, Euclidean merit function and
+    Armijo backtracking.
 
     Returns (u, iterations, residual_norm). Raises SingularJacobian when a
-    factorization fails and NewtonDivergence (with history) otherwise. A
+    factorization fails and NonConvergence (with history) otherwise. A
     line-search stall at the rounding floor of the current iterate scale
     (which an absolute tolerance cannot beat once iterates grow large, as
     in diverging outer iterations) returns the floor-accurate solution
     instead of raising.
     """
-    u = np.array(u0, dtype=float, copy=True)
-    r = residual_fn(u)
-    rnorm = float(np.linalg.norm(r))
-    history = [rnorm]
-    iters = 0
-    while rnorm > tol:
-        if not np.isfinite(rnorm):
-            raise NewtonDivergence("residual is not finite", history)
-        if iters >= max_iter:
-            raise NewtonDivergence(
-                f"no convergence in {max_iter} Newton iterations "
-                f"(residual {rnorm:.3e}, tol {tol:.3e})", history)
-        jac = jacobian_fn(u)
-        try:
-            lu = splu(sp.csc_matrix(jac), permc_spec=ORDERING)
-        except RuntimeError as exc:
-            raise SingularJacobian(f"sparse factorization failed: {exc}") from exc
-        step = lu.solve(-r)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("factorization produced non-finite Newton step")
-        t = 1.0
-        while True:
-            u_new = u + t * step
-            r_new = residual_fn(u_new)
-            rnorm_new = float(np.linalg.norm(r_new))
-            if np.isfinite(rnorm_new) and rnorm_new <= (1.0 - armijo * t) * rnorm:
-                break
-            t *= 0.5
-            if t < min_step:
-                floor = np.finfo(float).eps * max(1.0, float(np.abs(jac.diagonal()).max())) \
-                    * (1.0 + float(np.abs(u).max()))
-                if rnorm <= 1e3 * floor:
-                    return u, iters, rnorm
-                history.append(rnorm_new)
-                raise NewtonDivergence("line search failed to reduce the residual",
-                                       history)
-        u, r, rnorm = u_new, r_new, rnorm_new
-        iters += 1
-        history.append(rnorm)
-    return u, iters, rnorm
+    result = damped_newton(residual_fn, jacobian_fn, _lu_solve,
+                           lambda r: float(np.linalg.norm(r)), u0, tol, max_iter,
+                           at_floor=_at_rounding_floor)
+    return result.x, result.iterations, result.residual
 
 
 def _point_key(arr):
@@ -161,7 +138,6 @@ class SubdomainWorkspace:
         self.newton_iters = 0  # cumulative, across all solves
         self.last_dirichlet = None
         self.last_neumann = None
-        self.last_robin = None
         self._warm = {}
         self._cache = {}
         self._mass_gamma = None
@@ -267,59 +243,49 @@ class SubdomainWorkspace:
         u = self.dirichlet_solve(eta, tol)
         return self.interface_residual(u)
 
+    def _coupled_solve(self, problem, psi, warm_key, tol, robin_s=None):
+        """Newton solve over interior and interface unknowns, warm-started
+        from the last solve of the same kind: interior residual zero,
+        interface residual psi, or with ``robin_s`` the interface residual
+        plus robin_s * M_Gamma * trace equal to psi."""
+        psi_data = self._require(psi, dual=True)
+        tol = self._tolerance(tol)
+        m = self.m
+        if robin_s is not None:
+            mass = self.mass_gamma
+            penalty = robin_s * self._mass_gamma_embedded
+
+        def residual(u):
+            r = self.asm.residual(u, problem)
+            if robin_s is None:
+                r[m:] -= psi_data
+            else:
+                r[m:] += robin_s * (mass @ u[m:]) - psi_data
+            return r
+
+        def jacobian(u):
+            jac = self.asm.jacobian(u, problem)
+            return jac if robin_s is None else jac + penalty
+
+        warm = self._warm.get(warm_key)
+        u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
+        u, iters, _ = sparse_newton(residual, jacobian, u0, tol, self.newton_max)
+        self.newton_iters += iters
+        self._warm[warm_key] = u
+        return FieldVector(u, m)
+
     def neumann_solve(self, psi, tol=None):
         """Coupled solve: interior residual zero, interface residual psi.
 
         Equivalently the subdomain field whose Steklov-Poincare action is
         psi; its trace realizes the inverse interface operator.
         """
-        psi_data = self._require(psi, dual=True)
-        tol = self._tolerance(tol)
-        m = self.m
-
-        def residual(u):
-            r = self.asm.residual(u, self.problem)
-            r[m:] -= psi_data
-            return r
-
-        def jacobian(u):
-            return self.asm.jacobian(u, self.problem)
-
-        warm = self._warm.get("neumann")
-        u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
-        u, iters, _ = sparse_newton(residual, jacobian, u0,
-                                    tol, self.newton_max)
-        self.newton_iters += iters
-        self._warm["neumann"] = u
-        result = FieldVector(u, m)
-        self.last_neumann = result
-        return result.copy()
+        self.last_neumann = self._coupled_solve(self.problem, psi, "neumann", tol)
+        return self.last_neumann.copy()
 
     def robin_solve(self, g, robin_s, tol=None):
         """Solve with Robin coupling: interface residual + s*M_Gamma*trace = g."""
-        g_data = self._require(g, dual=True)
-        tol = self._tolerance(tol)
-        mass = self.mass_gamma
-        m = self.m
-        penalty = robin_s * self._mass_gamma_embedded
-
-        def residual(u):
-            r = self.asm.residual(u, self.problem)
-            r[m:] += robin_s * (mass @ u[m:]) - g_data
-            return r
-
-        def jacobian(u):
-            return self.asm.jacobian(u, self.problem) + penalty
-
-        warm = self._warm.get("robin")
-        u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
-        u, iters, _ = sparse_newton(residual, jacobian, u0,
-                                    tol, self.newton_max)
-        self.newton_iters += iters
-        self._warm["robin"] = u
-        result = FieldVector(u, m)
-        self.last_robin = result
-        return result.copy()
+        return self._coupled_solve(self.problem, g, "robin", tol, robin_s).copy()
 
     # -- linearized solves ----------------------------------------------------
 
@@ -359,26 +325,7 @@ class SubdomainWorkspace:
         a vanishing flux jump its solution vanishes (for reactions with
         beta(x, 0) = 0).
         """
-        psi_data = self._require(psi, dual=True)
-        tol = self._tolerance(tol)
-        hom = self._homogeneous_problem()
-        m = self.m
-
-        def residual(u):
-            r = self.asm.residual(u, hom)
-            r[m:] -= psi_data
-            return r
-
-        def jacobian(u):
-            return self.asm.jacobian(u, hom)
-
-        warm = self._warm.get("correction")
-        u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
-        u, iters, _ = sparse_newton(residual, jacobian, u0,
-                                    tol, self.newton_max)
-        self.newton_iters += iters
-        self._warm["correction"] = u
-        return FieldVector(u, m)
+        return self._coupled_solve(self._homogeneous_problem(), psi, "correction", tol)
 
     def _homogeneous_problem(self):
         if not hasattr(self, "_hom_problem"):

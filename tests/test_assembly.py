@@ -98,6 +98,21 @@ class TestResidual:
         with pytest.raises(ValueError, match="positive"):
             assemble_residual(np.zeros(3), bad, m, [0], dm)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, value):
+        # a NaN compares False with 0, so positivity alone lets it through
+        m = build_rect_mesh(1, 1, 0.5)
+        dm = free_triangle_dofmap(m, 0)
+        bad = SemilinearProblem(alpha=lambda x, y: np.where(x < 0.2, value, 1.0),
+                                beta=lambda x, y, u: np.zeros_like(u),
+                                beta_y=lambda x, y, u: np.zeros_like(u),
+                                source=lambda x, y: np.zeros_like(x))
+        asm = Assembler(m, [0], dm)
+        with pytest.raises(ValueError, match="positive and finite"):
+            asm.residual(np.zeros(3), bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            asm.jacobian(np.zeros(3), bad)
+
     def test_alpha_probe_recorded(self):
         m = build_rect_mesh(1, 1, 0.5)
         dm = free_triangle_dofmap(m, 0)

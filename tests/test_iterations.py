@@ -1,5 +1,6 @@
 import io
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,3 +349,38 @@ class TestNeumannNeumann:
         assert rep.non_converged
         assert rep.termination in ("stagnated", "diverged", "solver-failure")
         assert rep.min_error > 1e-8
+
+
+def _without_seconds(rows):
+    return [replace(row, seconds=0.0) for row in rows]
+
+
+class TestFormsAgree:
+    def test_rows_agree_from_zero_trace(self, cubic_setup):
+        # row 0 of the interface form includes the operators' probe solves
+        prob, mesh, decomp, ref = cubic_setup
+        reports = [run_dirichlet_neumann(DNConfig(s=0.36, formulation=form),
+                                         *fresh_workspaces(prob, mesh, decomp), ref)
+                   for form in ("subdomain-form", "interface-form")]
+        assert reports[0].rows[0].newton1 > 0
+        assert reports[0].termination == reports[1].termination == "converged"
+        assert _without_seconds(reports[0].rows) == _without_seconds(reports[1].rows)
+
+
+class TestFailurePolicy:
+    @pytest.mark.parametrize("run, cfg, newton_max, kept", [
+        (run_dirichlet_neumann, DNConfig(s=0.36), 4, 1),
+        (run_dirichlet_neumann, DNConfig(s=0.36, formulation="interface-form"), 4, 1),
+        (run_robin_robin, RRConfig(s=46.0), 3, 0),
+    ])
+    def test_inner_failure_ends_as_solver_failure(self, cubic_setup, run, cfg,
+                                                  newton_max, kept):
+        # the step after the last kept row needs more Newton steps than allowed
+        prob, mesh, decomp, ref = cubic_setup
+        full = run(cfg, *fresh_workspaces(prob, mesh, decomp), ref)
+        rep = run(cfg, SubdomainWorkspace(mesh, decomp, prob, 1, newton_max=newton_max),
+                  SubdomainWorkspace(mesh, decomp, prob, 2, newton_max=newton_max), ref)
+        assert rep.termination == "solver-failure"
+        assert rep.non_converged
+        assert len(rep.rows) == kept
+        assert _without_seconds(rep.rows) == _without_seconds(full.rows[:kept])
