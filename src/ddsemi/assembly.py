@@ -136,9 +136,6 @@ class Assembler:
         """Per-triangle constant gradient of the P1 field, (nt, 2)."""
         return self._gradient(self._vertex_values(u))
 
-    def at_quadrature(self, u):
-        return self._vertex_values(u) @ self.phi  # (nt, nq)
-
     def _diffusion(self, prob, gu):
         """(per-triangle integral of the scalar coefficient, coefficient matrix or None)."""
         if prob.kind == SEMILINEAR:

@@ -199,12 +199,7 @@ class MethodReport:
         for row in self.rows:
             lines.append(",".join([str(row.n), fmt(row.error), fmt(row.residual),
                                    str(row.newton1), str(row.newton2), fmt(row.seconds)]))
-        text = "\n".join(lines) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as f:
-                f.write(text)
+        _write_text(target, "\n".join(lines) + "\n")
 
     def summary(self, h=None, s=None):
         return {
@@ -230,14 +225,17 @@ class MethodReport:
                         "newton1": r.newton1, "newton2": r.newton2,
                         "seconds": r.seconds} for r in self.rows]
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-        if target is None:
-            return text
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as f:
-                f.write(text)
+        if target is not None:
+            _write_text(target, text)
         return text
+
+
+def _write_text(target, text):
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w") as f:
+            f.write(text)
 
 
 class RelativeFieldError:
@@ -476,7 +474,9 @@ def verify_lemma_equivalence(prob, mesh, decomp, cfg, n_steps=20,
 
     Fresh workspaces are built for each path; the iterates must agree to 10
     times the subdomain Newton tolerance at every step, else
-    EquivalenceViolation reports the first divergent step.
+    EquivalenceViolation reports the first divergent step. A subdomain
+    Newton failure in either run, or runs of different lengths, also raise
+    it, at the first step one of the runs lacks.
     """
     etas = {}
     for form in (SUBDOMAIN_FORM, INTERFACE_FORM):
@@ -484,8 +484,11 @@ def verify_lemma_equivalence(prob, mesh, decomp, cfg, n_steps=20,
         wsb = SubdomainWorkspace(mesh, decomp, prob, 2, degree, newton_rtol)
         collected = []
         run_cfg = replace(cfg, formulation=form, max_iter=n_steps, stop_tol=1e-300)
-        run_dirichlet_neumann(run_cfg, wsa, wsb,
-                              on_step=lambda n, v: collected.append(v))
+        report = run_dirichlet_neumann(run_cfg, wsa, wsb,
+                                       on_step=lambda n, v: collected.append(v))
+        if report.termination == "solver-failure":
+            raise EquivalenceViolation(f"{form}: subdomain Newton failed at step "
+                                       f"{len(collected)}", step=len(collected))
         etas[form] = collected
         tol = 10.0 * max(wsa.newton_tol, wsb.newton_tol)
     a, b = etas[SUBDOMAIN_FORM], etas[INTERFACE_FORM]
@@ -496,4 +499,7 @@ def verify_lemma_equivalence(prob, mesh, decomp, cfg, n_steps=20,
         raise EquivalenceViolation(
             f"formulations differ by {diffs[bad[0]]:.3e} at step {bad[0]} "
             f"(tolerance {tol:.3e})", step=int(bad[0]))
+    if len(a) != len(b):
+        raise EquivalenceViolation(f"formulations ran {len(a)} and {len(b)} steps",
+                                   step=steps)
     return EquivalenceReport(diffs, tol)

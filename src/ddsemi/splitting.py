@@ -138,8 +138,13 @@ class NewtonResult:
     history: list
 
 
+# sufficient-decrease constant and smallest step length of the line search
+ARMIJO = 1e-4
+MIN_STEP = 2.0 ** -30
+
+
 def damped_newton(residual_fn, jacobian_fn, solve, norm, x0, tol, max_iter,
-                  at_floor=None, armijo=1e-4, min_step=2.0 ** -30):
+                  at_floor=None):
     """Damped Newton for residual_fn(x) = 0 with Armijo backtracking.
 
     ``solve(jac, rhs)`` solves one linearized system and raises
@@ -167,10 +172,10 @@ def damped_newton(residual_fn, jacobian_fn, solve, norm, x0, tol, max_iter,
             x_new = x + t * step
             r_new = residual_fn(x_new)
             rnorm_new = norm(r_new)
-            if rnorm_new <= (1.0 - armijo * t) * rnorm:
+            if rnorm_new <= (1.0 - ARMIJO * t) * rnorm:
                 break
             t *= 0.5
-            if t < min_step:
+            if t < MIN_STEP:
                 if at_floor is not None and at_floor(jac, x, rnorm):
                     return NewtonResult(x, iters, rnorm, history)
                 history.append(rnorm_new)

@@ -3,8 +3,7 @@
 A SubdomainWorkspace binds (mesh, decomposition, problem, side) and owns
 the assembler, warm starts, Newton counters, and single-slot factorization
 caches. Local coefficient vectors are laid out [interior | interface]; the
-trace operator extracts the interface block and its right inverse inserts
-interface coefficients above zero interior values.
+trace operator extracts the interface block.
 
 The Steklov-Poincare action of a trace eta is the interface block of the
 assembled residual at the constrained subdomain solution; its inverse is a
@@ -173,12 +172,6 @@ class SubdomainWorkspace:
     def trace(self, u):
         """Interface coefficients of a subdomain field (primal)."""
         return InterfaceVector(u.data[self.m:].copy())
-
-    def extend(self, eta):
-        """Right inverse of the trace: interface data over zero interior."""
-        data = np.zeros(self.m + self.k)
-        data[self.m:] = self._require(eta, dual=False)
-        return FieldVector(data, self.m)
 
     def interface_residual(self, u):
         """Interface block of the assembled residual at a field (dual)."""

@@ -1,6 +1,7 @@
 import io
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -244,6 +245,17 @@ class TestLemmaEquivalence:
         report = verify_lemma_equivalence(prob, mesh, decomp, DNConfig(s=0.31),
                                           n_steps=15)
         assert report.max_discrepancy <= report.tolerance
+
+    def test_inner_failure_raises(self, cubic_setup, monkeypatch):
+        # newton_max=4 ends both forms after row 0: one matching row is no pass
+        import ddsemi.iterations as iterations
+
+        prob, mesh, decomp, _ = cubic_setup
+        monkeypatch.setattr(iterations, "SubdomainWorkspace",
+                            partial(SubdomainWorkspace, newton_max=4))
+        with pytest.raises(EquivalenceViolation, match="subdomain Newton failed") as info:
+            verify_lemma_equivalence(prob, mesh, decomp, DNConfig(s=0.36), n_steps=20)
+        assert info.value.step == 1
 
 
 class TestRobinRobin:
