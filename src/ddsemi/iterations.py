@@ -98,7 +98,6 @@ class NNConfig:
     max_iter: int = 200
     stop_tol: float = 1e-10
     stagnation_window: int = 20
-    stagnation_rtol: float = 1e-3
 
     def __post_init__(self):
         if not (self.s1 > 0 and self.s2 > 0):
@@ -343,21 +342,28 @@ def run_dirichlet_neumann(cfg, ws1, ws2, reference=None, on_step=None):
                        lambda eta0, record: steps(cfg, ws1, ws2, eta0, record))
 
 
+def _constrained(ws1, ws2, eta):
+    """Both constrained solves at trace eta and their flux functionals,
+    as (u1, u2, r1, r2)."""
+    u1 = ws1.dirichlet_solve(eta)
+    u2 = ws2.dirichlet_solve(eta)
+    return u1, u2, ws1.interface_residual(u1), ws2.interface_residual(u2)
+
+
 def _dn_subdomain_steps(cfg, ws1, ws2, eta, record):
     """Subdomain form: both constrained solves at the trace, then side 2's
     coupled solve against side 1's flux and the relaxed trace update."""
-    s1 = None
+    r1 = None
 
     def constrained(n, u2=None):
-        nonlocal s1
-        s1 = ws1.apply_steklov_poincare(eta)
-        s2 = ws2.apply_steklov_poincare(eta)
-        return record(n, (s1 + s2).norm(), ws1.last_dirichlet,
-                      ws2.last_dirichlet if u2 is None else u2, eta.data).residual
+        nonlocal r1
+        u1, u2_dirichlet, r1, r2 = _constrained(ws1, ws2, eta)
+        return record(n, (r1 + r2).norm(), u1,
+                      u2_dirichlet if u2 is None else u2, eta.data).residual
 
     def step(n):
         nonlocal eta
-        u2 = ws2.neumann_solve(-1.0 * s1)
+        u2 = ws2.neumann_solve(-1.0 * r1)
         eta = cfg.s * ws2.trace(u2) + (1.0 - cfg.s) * eta
         return constrained(n, u2)
 
@@ -374,8 +380,10 @@ def _dn_interface_steps(cfg, ws1, ws2, eta, record):
                            newton_max=ws2.newton_max)
 
     def add(n, vec, residual, _newton_iters):
-        record(n, residual, ws1.last_dirichlet,
-               ws2.last_neumann if n else ws2.last_dirichlet, vec)
+        # the operators just applied at vec, so these are cache hits
+        eta_n = InterfaceVector(vec)
+        record(n, residual, ws1.dirichlet_solve(eta_n),
+               ws2.last_neumann if n else ws2.dirichlet_solve(eta_n), vec)
 
     return splitting_steps(problem, icfg, add)
 
@@ -394,10 +402,7 @@ def run_robin_robin(cfg, ws1, ws2, reference=None, on_step=None):
 
         def first():
             nonlocal u2, r2
-            u1 = ws1.dirichlet_solve(eta)
-            u2 = ws2.dirichlet_solve(eta)
-            r1 = ws1.interface_residual(u1)
-            r2 = ws2.interface_residual(u2)
+            u1, u2, r1, r2 = _constrained(ws1, ws2, eta)
             return record(0, (r1 + r2).norm(), u1, u2, ws2.trace(u2).data).residual
 
         def step(n):
@@ -415,16 +420,20 @@ def run_robin_robin(cfg, ws1, ws2, reference=None, on_step=None):
     return _run_method("rr", cfg, ws1, ws2, reference, on_step, steps)
 
 
+# a step improves the best metric only if it lowers it by this relative amount
+STAGNATION_RTOL = 1e-3
+
+
 def run_neumann_neumann(cfg, ws1, ws2, reference=None, on_step=None):
     """Neumann-Neumann iteration with zero-load interface corrections.
 
     Each step solves both constrained problems at the current trace, forms
     the flux-jump residual, solves the source-free coupled problem on each
     side with that residual as interface data, and subtracts the weighted
-    correction traces. Stagnation (no relative improvement of the best
-    error, or of the best residual without a reference, over
-    ``stagnation_window`` consecutive steps while above stop_tol) ends the
-    run as "stagnated".
+    correction traces. Stagnation (no relative improvement by
+    STAGNATION_RTOL of the best error, or of the best residual without a
+    reference, over ``stagnation_window`` consecutive steps while above
+    stop_tol) ends the run as "stagnated".
     """
     def steps(eta, record):
         rho = None
@@ -433,13 +442,12 @@ def run_neumann_neumann(cfg, ws1, ws2, reference=None, on_step=None):
 
         def constrained(n):
             nonlocal rho, best, streak
-            u1 = ws1.dirichlet_solve(eta)
-            u2 = ws2.dirichlet_solve(eta)
-            rho = ws1.interface_residual(u1) + ws2.interface_residual(u2)
+            u1, u2, r1, r2 = _constrained(ws1, ws2, eta)
+            rho = r1 + r2
             row = record(n, rho.norm(), u1, u2, eta.data)
             metric = row.residual if reference is None else row.error
             if np.isfinite(metric):
-                streak = streak + 1 if metric >= best * (1.0 - cfg.stagnation_rtol) else 0
+                streak = streak + 1 if metric >= best * (1.0 - STAGNATION_RTOL) else 0
                 best = min(best, metric)
             return row.residual
 

@@ -7,7 +7,8 @@ trace operator extracts the interface block.
 
 The Steklov-Poincare action of a trace eta is the interface block of the
 assembled residual at the constrained subdomain solution; its inverse is a
-single coupled Newton solve over interior and interface unknowns.
+coupled solve over interior and interface unknowns. All four nonlinear
+solves run one Newton kernel, and every sparse LU goes through one helper.
 """
 
 import hashlib
@@ -74,12 +75,15 @@ class InterfaceVector:
         return self.data.shape[0]
 
 
-def _lu_solve(jac, rhs):
+def _factor(jac):
     try:
-        lu = splu(sp.csc_matrix(jac), permc_spec=ORDERING)
+        return splu(sp.csc_matrix(jac), permc_spec=ORDERING)
     except RuntimeError as exc:
         raise SingularJacobian(f"sparse factorization failed: {exc}") from exc
-    step = lu.solve(rhs)
+
+
+def _lu_solve(jac, rhs):
+    step = _factor(jac).solve(rhs)
     if not np.all(np.isfinite(step)):
         raise SingularJacobian("factorization produced non-finite Newton step")
     return step
@@ -135,7 +139,6 @@ class SubdomainWorkspace:
         self.newton_tol = newton_rtol * max(1.0, float(np.linalg.norm(load)))
         self.newton_max = newton_max
         self.newton_iters = 0  # cumulative, across all solves
-        self.last_dirichlet = None
         self.last_neumann = None
         self._warm = {}
         self._cache = {}
@@ -193,79 +196,64 @@ class SubdomainWorkspace:
 
     # -- nonlinear solves ---------------------------------------------------
 
+    def _solve(self, problem, warm_key, tol, eta=None, psi=None, robin_s=None):
+        """Damped Newton on the subdomain operator of ``problem``, warm-started
+        from the last field of kind ``warm_key``. The returned field is the
+        new warm start itself, so public solves hand out copies.
+
+        With ``eta`` only the m interior unknowns are free and the trace is
+        fixed to eta. Otherwise all unknowns are free: interior residual
+        zero and interface residual psi, or with ``robin_s`` the interface
+        residual plus robin_s * M_Gamma * trace equal to psi.
+        """
+        m = self.m
+        free = self.asm.n_dofs if eta is None else m
+        warm = self._warm.get(warm_key)
+        full = warm.copy() if warm is not None else np.zeros(self.asm.n_dofs)
+        if eta is not None:
+            full[m:] = eta
+        if robin_s is not None:
+            mass = self.mass_gamma
+            penalty = robin_s * self._mass_gamma_embedded
+
+        def residual(x):
+            full[:free] = x
+            r = self.asm.residual(full, problem)
+            if robin_s is not None:
+                r[m:] += robin_s * (mass @ full[m:]) - psi
+            elif psi is not None:
+                r[m:] -= psi
+            return r[:free]
+
+        def jacobian(x):
+            full[:free] = x
+            jac = self.asm.jacobian(full, problem)
+            if eta is not None:
+                return jac[:m, :m]
+            return jac if robin_s is None else jac + penalty
+
+        x, iters, _ = sparse_newton(residual, jacobian, full[:free], tol, self.newton_max)
+        self.newton_iters += iters
+        full[:free] = x
+        self._warm[warm_key] = full
+        return FieldVector(full, m)
+
     def dirichlet_solve(self, eta, tol=None):
         """Subdomain solution with trace constrained to eta.
 
         The interface block of the result equals eta exactly (elimination,
         not penalty); the interior residual is driven below the Newton
-        tolerance.
+        tolerance. The last solve is cached by its trace.
         """
         eta_data = self._require(eta, dual=False)
         tol = self._tolerance(tol)
-        hit = self._cache.get("dirichlet_field")
-        if hit is not None and hit[0] == _point_key(eta_data):
-            self.last_dirichlet = hit[1]
-            return hit[1].copy()
-
-        m = self.m
-        full = np.empty(self.asm.n_dofs)
-        full[m:] = eta_data
-
-        def residual(ui):
-            full[:m] = ui
-            return self.asm.residual(full, self.problem)[:m]
-
-        def jacobian(ui):
-            full[:m] = ui
-            return self.asm.jacobian(full, self.problem)[:m, :m]
-
-        warm = self._warm.get("dirichlet")
-        u0 = warm[:m] if warm is not None else np.zeros(m)
-        ui, iters, _ = sparse_newton(residual, jacobian, u0,
-                                     tol, self.newton_max)
-        self.newton_iters += iters
-        out = np.concatenate([ui, eta_data.copy()])
-        self._warm["dirichlet"] = out
-        result = FieldVector(out, m)
-        self._cache["dirichlet_field"] = (_point_key(eta_data), result)
-        self.last_dirichlet = result
-        return result.copy()
+        return self._cached("dirichlet", eta_data, lambda: self._solve(
+            self.problem, "dirichlet", tol, eta=eta_data)).copy()
 
     def apply_steklov_poincare(self, eta, tol=None):
         """Dual interface vector of the flux functional at trace eta."""
         u = self.dirichlet_solve(eta, tol)
         return self.interface_residual(u)
-
-    def _coupled_solve(self, problem, psi, warm_key, tol, robin_s=None):
-        """Newton solve over interior and interface unknowns, warm-started
-        from the last solve of the same kind: interior residual zero,
-        interface residual psi, or with ``robin_s`` the interface residual
-        plus robin_s * M_Gamma * trace equal to psi."""
-        psi_data = self._require(psi, dual=True)
-        tol = self._tolerance(tol)
-        m = self.m
-        if robin_s is not None:
-            mass = self.mass_gamma
-            penalty = robin_s * self._mass_gamma_embedded
-
-        def residual(u):
-            r = self.asm.residual(u, problem)
-            if robin_s is None:
-                r[m:] -= psi_data
-            else:
-                r[m:] += robin_s * (mass @ u[m:]) - psi_data
-            return r
-
-        def jacobian(u):
-            jac = self.asm.jacobian(u, problem)
-            return jac if robin_s is None else jac + penalty
-
-        warm = self._warm.get(warm_key)
-        u0 = warm if warm is not None else np.zeros(self.asm.n_dofs)
-        u, iters, _ = sparse_newton(residual, jacobian, u0, tol, self.newton_max)
-        self.newton_iters += iters
-        self._warm[warm_key] = u
-        return FieldVector(u, m)
 
     def neumann_solve(self, psi, tol=None):
         """Coupled solve: interior residual zero, interface residual psi.
@@ -273,42 +261,14 @@ class SubdomainWorkspace:
         Equivalently the subdomain field whose Steklov-Poincare action is
         psi; its trace realizes the inverse interface operator.
         """
-        self.last_neumann = self._coupled_solve(self.problem, psi, "neumann", tol)
+        self.last_neumann = self._solve(self.problem, "neumann", self._tolerance(tol),
+                                        psi=self._require(psi, dual=True))
         return self.last_neumann.copy()
 
     def robin_solve(self, g, robin_s, tol=None):
         """Solve with Robin coupling: interface residual + s*M_Gamma*trace = g."""
-        return self._coupled_solve(self.problem, g, "robin", tol, robin_s).copy()
-
-    # -- linearized solves ----------------------------------------------------
-
-    def _tangent_factors(self, nu_data):
-        def build():
-            eta = InterfaceVector(nu_data)
-            w = self.dirichlet_solve(eta)
-            jac = self.asm.jacobian(w.data, self.problem)
-            lu_ii = splu(sp.csc_matrix(jac[: self.m, : self.m]), permc_spec=ORDERING)
-            return w, jac, lu_ii
-
-        return self._cached("tangent", nu_data, build)
-
-    def dirichlet_tangent_solve(self, nu, eta):
-        """Directional derivative of the constrained solve: linear system at
-        the linearization trace nu with interface block fixed to eta."""
-        nu_data = self._require(nu, dual=False)
-        eta_data = self._require(eta, dual=False)
-        _, jac, lu_ii = self._tangent_factors(nu_data)
-        rhs = -jac[: self.m, self.m:] @ eta_data
-        ui = lu_ii.solve(rhs)
-        if not np.all(np.isfinite(ui)):
-            raise SingularJacobian("tangent solve produced non-finite values")
-        return FieldVector(np.concatenate([ui, eta_data.copy()]), self.m)
-
-    def apply_sp_derivative(self, nu, eta):
-        """Derivative of the Steklov-Poincare action at nu applied to eta."""
-        u = self.dirichlet_tangent_solve(nu, eta)
-        _, jac, _ = self._tangent_factors(self._require(nu, dual=False))
-        return InterfaceVector((jac @ u.data)[self.m:], dual=True)
+        return self._solve(self.problem, "robin", self._tolerance(tol),
+                           psi=self._require(g, dual=True), robin_s=robin_s).copy()
 
     def neumann_correction_solve(self, psi, tol=None):
         """Zero-load coupled solve: the subdomain operator without its
@@ -318,13 +278,37 @@ class SubdomainWorkspace:
         a vanishing flux jump its solution vanishes (for reactions with
         beta(x, 0) = 0).
         """
-        return self._coupled_solve(self._homogeneous_problem(), psi, "correction", tol)
+        problem = replace(self.problem, source=lambda x, y: np.zeros_like(x))
+        return self._solve(problem, "correction", self._tolerance(tol),
+                           psi=self._require(psi, dual=True)).copy()
 
-    def _homogeneous_problem(self):
-        if not hasattr(self, "_hom_problem"):
-            self._hom_problem = replace(
-                self.problem, source=lambda x, y: np.zeros_like(x))
-        return self._hom_problem
+    # -- linearized solves ----------------------------------------------------
+
+    def _tangent_factors(self, nu_data):
+        def build():
+            w = self.dirichlet_solve(InterfaceVector(nu_data))
+            jac = self.asm.jacobian(w.data, self.problem)
+            return jac, _factor(jac[: self.m, : self.m])
+
+        return self._cached("tangent", nu_data, build)
+
+    def dirichlet_tangent_solve(self, nu, eta):
+        """Directional derivative of the constrained solve: linear system at
+        the linearization trace nu with interface block fixed to eta."""
+        nu_data = self._require(nu, dual=False)
+        eta_data = self._require(eta, dual=False)
+        jac, lu_ii = self._tangent_factors(nu_data)
+        rhs = -jac[: self.m, self.m:] @ eta_data
+        ui = lu_ii.solve(rhs)
+        if not np.all(np.isfinite(ui)):
+            raise SingularJacobian("tangent solve produced non-finite values")
+        return FieldVector(np.concatenate([ui, eta_data.copy()]), self.m)
+
+    def apply_sp_derivative(self, nu, eta):
+        """Derivative of the Steklov-Poincare action at nu applied to eta."""
+        u = self.dirichlet_tangent_solve(nu, eta)
+        jac, _ = self._tangent_factors(self._require(nu, dual=False))
+        return InterfaceVector((jac @ u.data)[self.m:], dual=True)
 
 
 class SteklovOperator(MonotoneOperator):

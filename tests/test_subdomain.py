@@ -7,7 +7,7 @@ from ddsemi.mesh import build_rect_mesh, decompose_vertical
 from ddsemi.oracle import dense_brute_force, solve_monolithic
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
-from ddsemi.splitting import monotonicity_probe
+from ddsemi.splitting import SingularJacobian, monotonicity_probe
 from ddsemi.subdomain import (InterfaceVector, NewtonDivergence,
                               SteklovOperator, SubdomainWorkspace)
 
@@ -135,6 +135,19 @@ class TestTangentSolve:
             errs.append(np.linalg.norm(shifted.data - base.data - delta * tangent.data))
         order = np.log(errs[0] / errs[1]) / np.log(10.0)
         assert order > 1.8
+
+    def test_failed_factorization_is_singular_jacobian(self, coarse_setup, monkeypatch):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        nu = InterfaceVector(np.full(decomp.n_interface, 0.1))
+        ws.dirichlet_solve(nu)  # cached, so only the tangent block is factored
+
+        def failing_splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(subdomain, "splu", failing_splu)
+        with pytest.raises(SingularJacobian, match="factorization failed"):
+            ws.dirichlet_tangent_solve(nu, nu)
 
 
 class TestSteklovPoincare:
@@ -372,3 +385,19 @@ class TestSolveTolerance:
             _call_solve(ws, kind, None)
         with pytest.raises(ValueError, match="tolerance"):
             _call_solve(ws, kind, tol)
+
+
+class TestSolveRepeat:
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    def test_repeat_is_free_and_unaffected_by_caller(self, coarse_setup, kind):
+        # the warm start and the cache must not share memory with the
+        # returned field
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        u = _call_solve(ws, kind, None)
+        first = u.data.copy()
+        steps = ws.newton_iters
+        u.data[:] = 7.0
+        again = _call_solve(ws, kind, None)
+        assert ws.newton_iters == steps
+        assert again.data.tobytes() == first.tobytes()
