@@ -56,7 +56,10 @@ class Assembler:
     """Cached geometry and quadrature for one (mesh, triangles, dofmap).
 
     The triangle subset and the dof map are fixed at construction; the
-    field argument varies per call.
+    field argument varies per call. ``observed`` holds the smallest
+    diffusion value (``alpha_min``, semilinear kind) and reaction slope
+    (``beta_y_min``) seen at the quadrature points of this assembler's
+    residual and Jacobian calls.
     """
 
     def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
@@ -64,6 +67,7 @@ class Assembler:
         self.tris = np.asarray(tris, dtype=np.int64)
         self.dofmap = dofmap
         self.rule = quadrature_rule(degree)
+        self.observed = {}
 
         pts = mesh.nodes[mesh.triangles[self.tris]]  # (nt, 3, 2)
         e1 = pts[:, 1] - pts[:, 0]
@@ -141,7 +145,7 @@ class Assembler:
         if prob.kind == SEMILINEAR:
             aq = _at_points(prob.alpha, self.qx, self.qy)
             amin = float(aq.min()) if aq.size else np.inf
-            prob.record_probe("alpha_min", amin)
+            self.observed["alpha_min"] = min(self.observed.get("alpha_min", amin), amin)
             coef = self.det * (aq @ self.w)
             # a non-finite value at any point makes its triangle's integral non-finite
             if not (amin > 0.0 and np.isfinite(coef).all()):
@@ -178,7 +182,8 @@ class Assembler:
 
         byq = _at_points(prob.beta_y, self.qx, self.qy, wq)
         if byq.size:
-            prob.record_probe("beta_y_min", float(byq.min()))
+            low = float(byq.min())
+            self.observed["beta_y_min"] = min(self.observed.get("beta_y_min", low), low)
         mass = self.det[:, None] * (byq @ self._mass_table)  # (nt, 9)
 
         if prob.kind == SEMILINEAR:
@@ -195,14 +200,18 @@ class Assembler:
                              shape=(self.n_dofs, self.n_dofs))
 
     def h1_matrix(self):
-        """Gram matrix of the discrete H1 inner product (stiffness + mass)."""
+        """Gram matrix of the discrete H1 inner product (stiffness + mass);
+        it probes no problem, so ``observed`` is left as it was."""
+        observed = dict(self.observed)
         h1 = SemilinearProblem(
             alpha=lambda x, y: np.ones_like(x),
             beta=lambda x, y, u: u,
             beta_y=lambda x, y, u: np.ones_like(u),
             source=lambda x, y: np.zeros_like(x),
         )
-        return self.jacobian(np.zeros(self.n_dofs), h1)
+        gram = self.jacobian(np.zeros(self.n_dofs), h1)
+        self.observed = observed
+        return gram
 
 
 def assemble_residual(u, prob, mesh, tris, dofmap, degree=DEFAULT_DEGREE):

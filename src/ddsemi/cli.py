@@ -11,6 +11,7 @@ coefficient, 2 configuration error.
 
 import argparse
 import importlib
+import io
 import json
 import os
 import sys
@@ -197,8 +198,6 @@ def _atomic_write(path, text):
 def _write_report_csv(report, path, timing):
     if not timing:
         report = replace(report, rows=[replace(row, seconds=0.0) for row in report.rows])
-    import io
-
     buf = io.StringIO()
     report.to_csv(buf)
     _atomic_write(path, buf.getvalue())
@@ -232,11 +231,10 @@ class Experiment:
                      for side in (1, 2))
 
     def eta0(self):
+        # validate_config admits only "zero", "reference" and ""
         if self.cfg["eta0"] == "reference":
             return self.reference.trace(self.decomp)
-        if self.cfg["eta0"] in ("zero", ""):
-            return None
-        raise ConfigError(f"unknown eta0 {self.cfg['eta0']!r} (zero or reference)")
+        return None
 
     def s_dn(self):
         if self.cfg["s"]:
@@ -302,6 +300,15 @@ def _methods(cfg):
     raise ConfigError(f"unknown method {m!r} (dn, rr, nn or all)")
 
 
+def _map(fn, items, workers):
+    """[fn(item) for item in items], on a pool of ``workers`` threads if more
+    than one."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def cmd_run(cfg):
     validate_config(cfg)
     out = cfg["output_dir"]
@@ -334,12 +341,7 @@ def cmd_compare(cfg):
     h = _h_list(cfg)[0]
     exp = Experiment(cfg, h)
     methods = ("dn", "rr", "nn")
-    workers = max(1, int(cfg["workers"]))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(exp.run_method, methods))
-    else:
-        results = [exp.run_method(method) for method in methods]
+    results = _map(exp.run_method, methods, int(cfg["workers"]))
 
     reports = {}
     summaries = []
@@ -401,12 +403,7 @@ def cmd_sweep(cfg):
     grid = _sweep_grid(cfg)
     exp = Experiment(cfg, h)
 
-    workers = max(1, int(cfg["workers"]))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda s: _sweep_cell(exp, method, s, tol), grid))
-    else:
-        cells = [_sweep_cell(exp, method, s, tol) for s in grid]
+    cells = _map(lambda s: _sweep_cell(exp, method, s, tol), grid, int(cfg["workers"]))
     cells.sort(key=lambda c: c["s"])
 
     lines = ["s,iterations_to_tol,converged,final_error,status"]

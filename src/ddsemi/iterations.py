@@ -380,7 +380,8 @@ def _dn_interface_steps(cfg, ws1, ws2, eta, record):
                            newton_max=ws2.newton_max)
 
     def add(n, vec, residual, _newton_iters):
-        # the operators just applied at vec, so these are cache hits
+        # both operators were just applied at vec, so these repeat
+        # Dirichlet solves start at their answer and take no Newton step
         eta_n = InterfaceVector(vec)
         record(n, residual, ws1.dirichlet_solve(eta_n),
                ws2.last_neumann if n else ws2.dirichlet_solve(eta_n), vec)

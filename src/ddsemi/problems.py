@@ -5,7 +5,7 @@ quadrature coordinates (and, for the reaction terms, field values) and
 must return an array broadcastable to that shape.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +34,12 @@ class SemilinearProblem:
     grad_eps: float = 1e-8
     name: str = ""
     notes: str = ""
-    observed: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in (SEMILINEAR, P_LAPLACE):
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.kind == P_LAPLACE and not self.grad_eps > 0:
             raise ValueError("grad_eps must be positive for the p-Laplace kind")
-
-    def record_probe(self, key, value):
-        """Track extrema seen during assembly (coercivity bookkeeping)."""
-        if key.endswith("_min"):
-            cur = self.observed.get(key)
-            self.observed[key] = value if cur is None else min(cur, value)
-        else:
-            cur = self.observed.get(key)
-            self.observed[key] = value if cur is None else max(cur, value)
 
 
 def _bowl_source(x, y):

@@ -158,7 +158,8 @@ def damped_newton(residual_fn, jacobian_fn, solve, norm, x0, tol, max_iter,
     rnorm = norm(r)
     history = [rnorm]
     iters = 0
-    while rnorm > tol:
+    # written so that a NaN residual enters the loop and fails the finiteness test
+    while not rnorm <= tol:
         if not np.isfinite(rnorm):
             raise NonConvergence("residual is not finite", iters, rnorm, history)
         if iters >= max_iter:

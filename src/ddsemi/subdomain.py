@@ -1,9 +1,10 @@
 """Subdomain solves and discrete Steklov-Poincare operators.
 
 A SubdomainWorkspace binds (mesh, decomposition, problem, side) and owns
-the assembler, warm starts, Newton counters, and single-slot factorization
-caches. Local coefficient vectors are laid out [interior | interface]; the
-trace operator extracts the interface block.
+the assembler, one warm start per solve kind, the Newton counter and the
+factored tangent block at the last linearization trace. Local coefficient
+vectors are laid out [interior | interface]; the trace operator extracts
+the interface block.
 
 The Steklov-Poincare action of a trace eta is the interface block of the
 assembled residual at the constrained subdomain solution; its inverse is a
@@ -11,7 +12,6 @@ coupled solve over interior and interface unknowns. All four nonlinear
 solves run one Newton kernel, and every sparse LU goes through one helper.
 """
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,17 +112,13 @@ def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter):
     return result.x, result.iterations, result.residual
 
 
-def _point_key(arr):
-    return hashlib.sha1(np.ascontiguousarray(arr).tobytes()).hexdigest()
-
-
 class SubdomainWorkspace:
     """Solver state for one subdomain of a decomposition.
 
     newton_rtol is relative to the load scale (the residual norm of the
     zero field), giving an absolute tolerance that warm starts cannot
-    over-tighten. Factorization caches hold a single slot per solve kind
-    and are invalidated whenever the linearization point changes.
+    over-tighten. Each solve kind warm-starts from its own last field, so
+    repeating a solve takes no Newton step and returns the same field.
     """
 
     def __init__(self, mesh, decomp, problem, side,
@@ -139,9 +135,8 @@ class SubdomainWorkspace:
         self.newton_tol = newton_rtol * max(1.0, float(np.linalg.norm(load)))
         self.newton_max = newton_max
         self.newton_iters = 0  # cumulative, across all solves
-        self.last_neumann = None
         self._warm = {}
-        self._cache = {}
+        self._tangent = None  # (nu bytes, jacobian, LU of its interior block)
         self._mass_gamma = None
 
     # -- helpers -----------------------------------------------------------
@@ -163,15 +158,6 @@ class SubdomainWorkspace:
             raise ValueError(f"Newton tolerance must be finite and non-negative, got {tol!r}")
         return tol
 
-    def _cached(self, kind, point, build):
-        key = _point_key(point)
-        slot = self._cache.get(kind)
-        if slot is not None and slot[0] == key:
-            return slot[1]
-        value = build()
-        self._cache[kind] = (key, value)
-        return value
-
     def trace(self, u):
         """Interface coefficients of a subdomain field (primal)."""
         return InterfaceVector(u.data[self.m:].copy())
@@ -192,14 +178,20 @@ class SubdomainWorkspace:
         return self._mass_gamma
 
     def h1_matrix(self):
-        return self._cached("h1", np.zeros(1), self.asm.h1_matrix)
+        return self.asm.h1_matrix()
+
+    @property
+    def last_neumann(self):
+        """Copy of the field of the last Neumann solve, or None."""
+        u = self._warm.get("neumann")
+        return None if u is None else FieldVector(u.copy(), self.m)
 
     # -- nonlinear solves ---------------------------------------------------
 
     def _solve(self, problem, warm_key, tol, eta=None, psi=None, robin_s=None):
         """Damped Newton on the subdomain operator of ``problem``, warm-started
-        from the last field of kind ``warm_key``. The returned field is the
-        new warm start itself, so public solves hand out copies.
+        from the last field of kind ``warm_key``, which the result replaces.
+        The caller gets a copy, never the warm start itself.
 
         With ``eta`` only the m interior unknowns are free and the trace is
         fixed to eta. Otherwise all unknowns are free: interior residual
@@ -236,19 +228,17 @@ class SubdomainWorkspace:
         self.newton_iters += iters
         full[:free] = x
         self._warm[warm_key] = full
-        return FieldVector(full, m)
+        return FieldVector(full.copy(), m)
 
     def dirichlet_solve(self, eta, tol=None):
         """Subdomain solution with trace constrained to eta.
 
         The interface block of the result equals eta exactly (elimination,
         not penalty); the interior residual is driven below the Newton
-        tolerance. The last solve is cached by its trace.
+        tolerance.
         """
         eta_data = self._require(eta, dual=False)
-        tol = self._tolerance(tol)
-        return self._cached("dirichlet", eta_data, lambda: self._solve(
-            self.problem, "dirichlet", tol, eta=eta_data)).copy()
+        return self._solve(self.problem, "dirichlet", self._tolerance(tol), eta=eta_data)
 
     def apply_steklov_poincare(self, eta, tol=None):
         """Dual interface vector of the flux functional at trace eta."""
@@ -261,14 +251,13 @@ class SubdomainWorkspace:
         Equivalently the subdomain field whose Steklov-Poincare action is
         psi; its trace realizes the inverse interface operator.
         """
-        self.last_neumann = self._solve(self.problem, "neumann", self._tolerance(tol),
-                                        psi=self._require(psi, dual=True))
-        return self.last_neumann.copy()
+        return self._solve(self.problem, "neumann", self._tolerance(tol),
+                           psi=self._require(psi, dual=True))
 
     def robin_solve(self, g, robin_s, tol=None):
         """Solve with Robin coupling: interface residual + s*M_Gamma*trace = g."""
         return self._solve(self.problem, "robin", self._tolerance(tol),
-                           psi=self._require(g, dual=True), robin_s=robin_s).copy()
+                           psi=self._require(g, dual=True), robin_s=robin_s)
 
     def neumann_correction_solve(self, psi, tol=None):
         """Zero-load coupled solve: the subdomain operator without its
@@ -280,17 +269,17 @@ class SubdomainWorkspace:
         """
         problem = replace(self.problem, source=lambda x, y: np.zeros_like(x))
         return self._solve(problem, "correction", self._tolerance(tol),
-                           psi=self._require(psi, dual=True)).copy()
+                           psi=self._require(psi, dual=True))
 
     # -- linearized solves ----------------------------------------------------
 
     def _tangent_factors(self, nu_data):
-        def build():
+        key = nu_data.tobytes()
+        if self._tangent is None or self._tangent[0] != key:
             w = self.dirichlet_solve(InterfaceVector(nu_data))
             jac = self.asm.jacobian(w.data, self.problem)
-            return jac, _factor(jac[: self.m, : self.m])
-
-        return self._cached("tangent", nu_data, build)
+            self._tangent = (key, jac, _factor(jac[: self.m, : self.m]))
+        return self._tangent[1:]
 
     def dirichlet_tangent_solve(self, nu, eta):
         """Directional derivative of the constrained solve: linear system at

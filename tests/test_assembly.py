@@ -116,9 +116,15 @@ class TestResidual:
     def test_alpha_probe_recorded(self):
         m = build_rect_mesh(1, 1, 0.5)
         dm = free_triangle_dofmap(m, 0)
-        prob = cubic_reaction_problem()
-        assemble_residual(np.zeros(3), prob, m, [0], dm)
-        assert prob.observed["alpha_min"] == 1.0
+        asm = Assembler(m, [0], dm)
+        asm.residual(np.zeros(3), cubic_reaction_problem())
+        assert asm.observed["alpha_min"] == 1.0
+
+    def test_h1_matrix_records_no_probe(self):
+        m = build_rect_mesh(1, 1, 0.5)
+        asm = Assembler(m, [0], free_triangle_dofmap(m, 0))
+        asm.h1_matrix()
+        assert asm.observed == {}
 
 
 class TestJacobian:
@@ -195,9 +201,9 @@ class TestJacobian:
     def test_beta_y_probe_recorded(self):
         m = build_rect_mesh(1, 1, 0.5)
         dm = free_triangle_dofmap(m, 0)
-        prob = cubic_reaction_problem()
-        assemble_jacobian(np.full(3, 0.2), prob, m, [0], dm)
-        assert prob.observed["beta_y_min"] >= 0.0
+        asm = Assembler(m, [0], dm)
+        asm.jacobian(np.full(3, 0.2), cubic_reaction_problem())
+        assert asm.observed["beta_y_min"] >= 0.0
 
     def test_bitwise_reproducible(self):
         m = build_rect_mesh(3, 2, 0.25)

@@ -1,6 +1,6 @@
 import io
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -194,6 +194,17 @@ class TestDirichletNeumann:
         assert all(row.newton1 >= 0 for row in rep.rows)
         assert sum(row.newton2 for row in rep.rows) > 0
         assert [row.n for row in rep.rows] == list(range(len(rep.rows)))
+
+
+class TestProblemUntouched:
+    def test_dn_run_leaves_problem_unchanged(self, cubic_setup):
+        _, mesh, decomp, ref = cubic_setup
+        prob = cubic_reaction_problem()
+        before = asdict(prob)
+        ws1, ws2 = fresh_workspaces(prob, mesh, decomp)
+        run_dirichlet_neumann(DNConfig(s=0.36, max_iter=3), ws1, ws2, ref)
+        assert asdict(prob) == before
+        assert ws1.asm.observed["alpha_min"] == 1.0
 
 
 class TestRowTiming:

@@ -10,6 +10,7 @@ from ddsemi.oracle import (TooLarge, dense_brute_force, fd_check,
                            mesh_global_dofmap, solve_monolithic)
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
+from ddsemi.splitting import NonConvergence
 from ddsemi.subdomain import InterfaceVector, SubdomainWorkspace
 
 
@@ -87,6 +88,15 @@ class TestMonolithic:
         mesh = build_rect_mesh(2, 1, 0.25)
         sol = solve_monolithic(prob, mesh)
         assert np.abs(sol.field.data).max() < 1e-12
+
+    def test_nan_source_raises(self):
+        prob = SemilinearProblem(
+            alpha=lambda x, y: np.ones_like(x),
+            beta=lambda x, y, u: u,
+            beta_y=lambda x, y, u: np.ones_like(u),
+            source=lambda x, y: np.full_like(x, np.nan))
+        with pytest.raises(NonConvergence):
+            solve_monolithic(prob, build_rect_mesh(2, 1, 0.25))
 
     def test_linear_matches_direct_solve(self):
         prob = linear_problem()

@@ -3,7 +3,7 @@ import pytest
 
 from ddsemi.splitting import (CallableOperator, HilbertSpace, IterationConfig,
                               MatrixOperator, NonConvergence, SingularJacobian,
-                              SplittingProblem, invert_operator,
+                              SplittingProblem, damped_newton, invert_operator,
                               monotonicity_probe, newton_invert,
                               splitting_iterate)
 
@@ -53,6 +53,12 @@ class TestInvertOperator:
         with pytest.raises(NonConvergence):
             invert_operator(MatrixOperator(a), rng.standard_normal(4),
                             tol=1e-30, max_iter=3)
+
+    def test_nan_residual_raises(self):
+        # NaN > tol is False, so a NaN start must not count as converged
+        with pytest.raises(NonConvergence, match="not finite"):
+            damped_newton(lambda x: np.full(2, np.nan), lambda x: np.eye(2),
+                          np.linalg.solve, np.linalg.norm, np.zeros(2), 1e-12, 10)
 
     def test_singular_jacobian_raises(self):
         op = MatrixOperator(np.zeros((3, 3)))

@@ -140,7 +140,7 @@ class TestTangentSolve:
         prob, mesh, decomp, _, _ = coarse_setup
         ws = SubdomainWorkspace(mesh, decomp, prob, 1)
         nu = InterfaceVector(np.full(decomp.n_interface, 0.1))
-        ws.dirichlet_solve(nu)  # cached, so only the tangent block is factored
+        ws.dirichlet_solve(nu)  # warm start: no Newton step, only the tangent block is factored
 
         def failing_splu(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
@@ -381,7 +381,7 @@ class TestSolveTolerance:
         prob, mesh, decomp, _, _ = coarse_setup
         ws = SubdomainWorkspace(mesh, decomp, prob, 1)
         if kind == "dirichlet":
-            # a cached field must not let a bad tolerance through either
+            # a warm start must not let a bad tolerance through either
             _call_solve(ws, kind, None)
         with pytest.raises(ValueError, match="tolerance"):
             _call_solve(ws, kind, tol)
@@ -390,8 +390,7 @@ class TestSolveTolerance:
 class TestSolveRepeat:
     @pytest.mark.parametrize("kind", SOLVE_KINDS)
     def test_repeat_is_free_and_unaffected_by_caller(self, coarse_setup, kind):
-        # the warm start and the cache must not share memory with the
-        # returned field
+        # the warm start must not share memory with the returned field
         prob, mesh, decomp, _, _ = coarse_setup
         ws = SubdomainWorkspace(mesh, decomp, prob, 1)
         u = _call_solve(ws, kind, None)
@@ -401,3 +400,26 @@ class TestSolveRepeat:
         again = _call_solve(ws, kind, None)
         assert ws.newton_iters == steps
         assert again.data.tobytes() == first.tobytes()
+
+    def test_tighter_tolerance_iterates(self, coarse_setup):
+        # a loose solve must not stand in for a later solve at the default tolerance
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        eta = InterfaceVector(np.full(decomp.n_interface, 0.1))
+        ws.dirichlet_solve(eta, tol=1e-2)
+        steps = ws.newton_iters
+        u = ws.dirichlet_solve(eta)
+        assert ws.newton_iters > steps
+        assert np.linalg.norm(ws.asm.residual(u.data, prob)[: ws.m]) <= ws.newton_tol
+
+    def test_last_neumann_is_a_copy(self, coarse_setup):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        psi = InterfaceVector(np.full(decomp.n_interface, 0.01), dual=True)
+        first = ws.neumann_solve(psi).data.copy()
+        steps = ws.newton_iters
+        ws.last_neumann.data[:] = 7.0
+        again = ws.neumann_solve(psi)
+        assert ws.newton_iters == steps
+        assert again.data.tobytes() == first.tobytes()
+        assert ws.last_neumann.data.tobytes() == first.tobytes()
