@@ -8,8 +8,9 @@ dense brute-force assembly, finite-difference derivative checks) used to
 validate them.
 """
 
-from .assembly import (Assembler, FieldVector, assemble_jacobian,
-                       assemble_residual, interface_mass_matrix)
+from .assembly import (Assembler, FieldVector, NonFiniteCoefficient,
+                       assemble_jacobian, assemble_residual,
+                       interface_mass_matrix)
 from .iterations import (DNConfig, EquivalenceViolation, MeshMismatch,
                          MethodReport, NNConfig, RelativeFieldError, RRConfig,
                          compute_error, run_dirichlet_neumann,

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from .problems import SEMILINEAR, SemilinearProblem
 from .quadrature import quadrature_rule
+from .splitting import NonConvergence
 
 DEFAULT_DEGREE = 4
 
@@ -52,14 +53,40 @@ def _at_points(fn, x, y, *args):
     return np.broadcast_to(out, x.shape)
 
 
+class NonFiniteCoefficient(NonConvergence, ValueError):
+    """A source or reaction value is not finite where the field is.
+
+    That is bad problem data, hence a ValueError; it also leaves the
+    residual non-finite, which Newton reports as NonConvergence.
+    """
+
+
+def _require_finite(name, values, field):
+    """Reject a reaction value that is not finite where the field is; a
+    non-finite field (a failed trial step) only makes the residual so."""
+    bad = ~np.isfinite(values)
+    if bad.any() and np.isfinite(field[bad]).any():
+        raise NonFiniteCoefficient(f"{name} must be finite at finite field values")
+
+
+_H1 = SemilinearProblem(
+    alpha=lambda x, y: np.ones_like(x),
+    beta=lambda x, y, u: u,
+    beta_y=lambda x, y, u: np.ones_like(u),
+    source=lambda x, y: np.zeros_like(x),
+)
+
+
 class Assembler:
     """Cached geometry and quadrature for one (mesh, triangles, dofmap).
 
     The triangle subset and the dof map are fixed at construction; the
-    field argument varies per call. ``observed`` holds the smallest
-    diffusion value (``alpha_min``, semilinear kind) and reaction slope
-    (``beta_y_min``) seen at the quadrature points of this assembler's
-    residual and Jacobian calls.
+    field argument varies per call. The field-independent integrals of
+    the source and of the diffusion coefficient are computed once per
+    callable and kept for the assembler's lifetime, so callables must be
+    pure. ``observed`` holds the smallest diffusion value (``alpha_min``,
+    semilinear kind) and reaction slope (``beta_y_min``) seen at the
+    quadrature points of this assembler's residual and Jacobian calls.
     """
 
     def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
@@ -89,6 +116,8 @@ class Assembler:
         self.qx = pts[:, 0, 0:1] + np.outer(e1[:, 0], q[:, 0]) + np.outer(e2[:, 0], q[:, 1])
         self.qy = pts[:, 0, 1:2] + np.outer(e1[:, 1], q[:, 0]) + np.outer(e2[:, 1], q[:, 1])
         self.phi = np.stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])  # (3, nq)
+        self._wphi = self.w[:, None] * self.phi.T  # (nq, 3)
+        self._integrals = {}  # (kind, callable) -> per-triangle integrals
 
         tri_dofs = dofmap.dof_of_node[mesh.triangles[self.tris]]  # (nt, 3), -1 constrained
         self.tri_dofs = tri_dofs
@@ -140,18 +169,35 @@ class Assembler:
         """Per-triangle constant gradient of the P1 field, (nt, 2)."""
         return self._gradient(self._vertex_values(u))
 
+    def _integral(self, kind, fn, build):
+        """build(fn), computed on the first call for this (kind, fn)."""
+        out = self._integrals.get((kind, fn))
+        if out is None:
+            out = self._integrals[(kind, fn)] = build(fn)
+        return out
+
+    def _alpha_integral(self, alpha):
+        aq = _at_points(alpha, self.qx, self.qy)
+        amin = float(aq.min()) if aq.size else np.inf
+        self.observed["alpha_min"] = min(self.observed.get("alpha_min", amin), amin)
+        coef = self.det * (aq @ self.w)
+        # a non-finite value at any point makes its triangle's integral non-finite
+        if not (amin > 0.0 and np.isfinite(coef).all()):
+            raise ValueError(
+                f"diffusion coefficient must be positive and finite (min {amin:g})")
+        return coef
+
+    def _load_integral(self, source):
+        """integral(f phi_k) per triangle and vertex, (nt, 3)."""
+        load = self.det[:, None] * (_at_points(source, self.qx, self.qy) @ self._wphi)
+        if not np.isfinite(load).all():
+            raise NonFiniteCoefficient("source must be finite")
+        return load
+
     def _diffusion(self, prob, gu):
         """(per-triangle integral of the scalar coefficient, coefficient matrix or None)."""
         if prob.kind == SEMILINEAR:
-            aq = _at_points(prob.alpha, self.qx, self.qy)
-            amin = float(aq.min()) if aq.size else np.inf
-            self.observed["alpha_min"] = min(self.observed.get("alpha_min", amin), amin)
-            coef = self.det * (aq @ self.w)
-            # a non-finite value at any point makes its triangle's integral non-finite
-            if not (amin > 0.0 and np.isfinite(coef).all()):
-                raise ValueError(
-                    f"diffusion coefficient must be positive and finite (min {amin:g})")
-            return coef, None
+            return self._integral("alpha", prob.alpha, self._alpha_integral), None
         anorm = np.sqrt(gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1] + prob.grad_eps ** 2)
         return self.area * anorm, anorm
 
@@ -165,8 +211,9 @@ class Assembler:
         coef, _ = self._diffusion(prob, gu)
 
         bq = _at_points(prob.beta, self.qx, self.qy, uq)
-        fq = _at_points(prob.source, self.qx, self.qy)
-        react = self.det[:, None] * ((bq - fq) @ (self.w[:, None] * self.phi.T))  # (nt, 3)
+        _require_finite("reaction term beta", bq, uq)
+        react = self.det[:, None] * (bq @ self._wphi) \
+            - self._integral("load", prob.source, self._load_integral)  # (nt, 3)
 
         local = coef[:, None] * self._dot_grads(gu) + react
         out = np.bincount(self.gather.T.ravel(), weights=local.T.ravel(),
@@ -181,6 +228,7 @@ class Assembler:
         coef, anorm = self._diffusion(prob, gw)
 
         byq = _at_points(prob.beta_y, self.qx, self.qy, wq)
+        _require_finite("reaction slope beta_y", byq, wq)
         if byq.size:
             low = float(byq.min())
             self.observed["beta_y_min"] = min(self.observed.get("beta_y_min", low), low)
@@ -203,13 +251,7 @@ class Assembler:
         """Gram matrix of the discrete H1 inner product (stiffness + mass);
         it probes no problem, so ``observed`` is left as it was."""
         observed = dict(self.observed)
-        h1 = SemilinearProblem(
-            alpha=lambda x, y: np.ones_like(x),
-            beta=lambda x, y, u: u,
-            beta_y=lambda x, y, u: np.ones_like(u),
-            source=lambda x, y: np.zeros_like(x),
-        )
-        gram = self.jacobian(np.zeros(self.n_dofs), h1)
+        gram = self.jacobian(np.zeros(self.n_dofs), _H1)
         self.observed = observed
         return gram
 

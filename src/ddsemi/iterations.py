@@ -3,7 +3,8 @@
 All three methods iterate on the interface trace of a two-subdomain
 decomposition and report per-iteration field errors against a monolithic
 reference, the interface dual residual (coefficient 2-norm of the summed
-flux functionals), wall time, and subdomain Newton counts.
+flux functionals), wall time, and subdomain Newton counts; a report also
+counts the sparse LU factorizations of the whole run.
 
 The Dirichlet-Neumann method is available in two algebraically equivalent
 formulations: the subdomain form (alternating constrained and coupled
@@ -89,8 +90,8 @@ class RRConfig:
 
 @dataclass
 class NNConfig:
-    """Neumann-Neumann parameters: linearized interface corrections on both
-    sides, update eta <- eta - (s1 * trace(w1) + s2 * trace(w2))."""
+    """Neumann-Neumann parameters: nonlinear zero-load correction solves on
+    both sides, update eta <- eta - (s1 * trace(w1) + s2 * trace(w2))."""
 
     s1: float
     s2: float
@@ -124,12 +125,14 @@ class MethodReport:
 
     Row n pairs the side-1 constrained solve at the current trace with the
     side-2 field produced by the step (row 0 pairs the two constrained
-    solves at the initial trace).
+    solves at the initial trace). ``factorizations`` counts the sparse LU
+    factorizations of both workspaces during the run.
     """
 
     method: str
     rows: list = field(default_factory=list)
     termination: str = "max-iterations"
+    factorizations: int = 0
 
     @property
     def converged(self):
@@ -212,6 +215,7 @@ class MethodReport:
             "converged": self.converged,
             "non_converged": self.non_converged,
             "termination": self.termination,
+            "factorizations": self.factorizations,
         }
 
     def to_json(self, target=None, h=None, s=None):
@@ -323,10 +327,12 @@ def _run_method(method, cfg, ws1, ws2, reference, on_step, steps):
         InterfaceVector(np.zeros(ws1.decomp.n_interface))
     rec = _RowRecorder(ws1, ws2, meter, on_step)
     report = MethodReport(method, rec.rows)
+    factorizations = ws1.factorizations + ws2.factorizations
     try:
         report.termination = outer_iterate(cfg.stop_tol, cfg.max_iter, *steps(eta0, rec.add))
     except (NonConvergence, SingularJacobian):
         report.termination = "solver-failure"
+    report.factorizations = ws1.factorizations + ws2.factorizations - factorizations
     return report
 
 

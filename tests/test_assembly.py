@@ -9,6 +9,7 @@ from ddsemi.mesh import DofMap, TriMesh, build_rect_mesh, decompose_vertical
 from ddsemi.oracle import dense_brute_force, mesh_global_dofmap
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
+from ddsemi.splitting import NonConvergence
 from ddsemi.subdomain import SubdomainWorkspace
 
 
@@ -112,6 +113,54 @@ class TestResidual:
             asm.residual(np.zeros(3), bad)
         with pytest.raises(ValueError, match="positive and finite"):
             asm.jacobian(np.zeros(3), bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["beta", "beta_y", "source"])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        m = build_rect_mesh(1, 1, 0.5)
+        dm = free_triangle_dofmap(m, 0)
+        data = dict(alpha=lambda x, y: np.ones_like(x),
+                    beta=lambda x, y, u: np.zeros_like(u),
+                    beta_y=lambda x, y, u: np.zeros_like(u),
+                    source=lambda x, y: np.zeros_like(x))
+        if name == "source":
+            data[name] = lambda x, y: np.where(x < 0.2, value, 1.0)
+        else:
+            data[name] = lambda x, y, u: np.where(x < 0.2, value, u)
+        asm = Assembler(m, [0], dm)
+        assemble = asm.jacobian if name == "beta_y" else asm.residual
+        with pytest.raises(ValueError, match="finite") as info:
+            assemble(np.zeros(3), SemilinearProblem(**data))
+        # a run that meets bad data ends like any failed Newton solve
+        assert isinstance(info.value, NonConvergence)
+
+    def test_non_finite_field_is_not_a_coefficient_error(self):
+        # a NaN trial iterate gives a NaN residual, which Newton rejects
+        m = build_rect_mesh(1, 1, 0.5)
+        asm = Assembler(m, [0], free_triangle_dofmap(m, 0))
+        r = asm.residual(np.array([np.nan, 0.0, 0.0]), cubic_reaction_problem())
+        assert np.isnan(r).any()
+
+    def test_field_free_integrals_computed_once(self):
+        calls = {"alpha": 0, "source": 0}
+
+        def alpha(x, y):
+            calls["alpha"] += 1
+            return np.ones_like(x)
+
+        def source(x, y):
+            calls["source"] += 1
+            return x * y
+
+        prob = SemilinearProblem(alpha=alpha, beta=lambda x, y, u: u ** 3,
+                                 beta_y=lambda x, y, u: 3 * u ** 2, source=source)
+        m = build_rect_mesh(1, 1, 0.5)
+        asm = Assembler(m, [0], free_triangle_dofmap(m, 0))
+        first = asm.residual(np.full(3, 0.5), prob)
+        again = asm.residual(np.full(3, 0.5), prob)
+        asm.jacobian(np.ones(3), prob)
+        assert calls == {"alpha": 1, "source": 1}
+        assert again.tobytes() == first.tobytes()
 
     def test_alpha_probe_recorded(self):
         m = build_rect_mesh(1, 1, 0.5)

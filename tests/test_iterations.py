@@ -258,12 +258,16 @@ class TestLemmaEquivalence:
         assert report.max_discrepancy <= report.tolerance
 
     def test_inner_failure_raises(self, cubic_setup, monkeypatch):
-        # newton_max=4 ends both forms after row 0: one matching row is no pass
+        # a budget that just fits row 0 ends both forms after it: one
+        # matching row is no pass
         import ddsemi.iterations as iterations
 
         prob, mesh, decomp, _ = cubic_setup
+        row0 = run_dirichlet_neumann(DNConfig(s=0.36, max_iter=1),
+                                     *fresh_workspaces(prob, mesh, decomp)).rows[0]
         monkeypatch.setattr(iterations, "SubdomainWorkspace",
-                            partial(SubdomainWorkspace, newton_max=4))
+                            partial(SubdomainWorkspace,
+                                    newton_max=max(row0.newton1, row0.newton2)))
         with pytest.raises(EquivalenceViolation, match="subdomain Newton failed") as info:
             verify_lemma_equivalence(prob, mesh, decomp, DNConfig(s=0.36), n_steps=20)
         assert info.value.step == 1
@@ -380,7 +384,6 @@ def _without_seconds(rows):
 
 class TestFormsAgree:
     def test_rows_agree_from_zero_trace(self, cubic_setup):
-        # row 0 of the interface form includes the operators' probe solves
         prob, mesh, decomp, ref = cubic_setup
         reports = [run_dirichlet_neumann(DNConfig(s=0.36, formulation=form),
                                          *fresh_workspaces(prob, mesh, decomp), ref)
@@ -390,20 +393,48 @@ class TestFormsAgree:
         assert _without_seconds(reports[0].rows) == _without_seconds(reports[1].rows)
 
 
+def _row0_fits(row):
+    return max(row.newton1, row.newton2)
+
+
+def _row0_fails(row):
+    return min(row.newton1, row.newton2) - 1
+
+
 class TestFailurePolicy:
-    @pytest.mark.parametrize("run, cfg, newton_max, kept", [
-        (run_dirichlet_neumann, DNConfig(s=0.36), 4, 1),
-        (run_dirichlet_neumann, DNConfig(s=0.36, formulation="interface-form"), 4, 1),
-        (run_robin_robin, RRConfig(s=46.0), 3, 0),
+    # the Newton budget comes from row 0 of the full run: each side does one
+    # solve there, so a budget of its larger count keeps row 0
+    @pytest.mark.parametrize("run, cfg, budget, kept", [
+        (run_dirichlet_neumann, DNConfig(s=0.36), _row0_fits, 1),
+        (run_dirichlet_neumann, DNConfig(s=0.36, formulation="interface-form"),
+         _row0_fits, 1),
+        (run_robin_robin, RRConfig(s=46.0), _row0_fails, 0),
     ])
     def test_inner_failure_ends_as_solver_failure(self, cubic_setup, run, cfg,
-                                                  newton_max, kept):
+                                                  budget, kept):
         # the step after the last kept row needs more Newton steps than allowed
         prob, mesh, decomp, ref = cubic_setup
         full = run(cfg, *fresh_workspaces(prob, mesh, decomp), ref)
+        newton_max = budget(full.rows[0])
         rep = run(cfg, SubdomainWorkspace(mesh, decomp, prob, 1, newton_max=newton_max),
                   SubdomainWorkspace(mesh, decomp, prob, 2, newton_max=newton_max), ref)
         assert rep.termination == "solver-failure"
         assert rep.non_converged
         assert len(rep.rows) == kept
         assert _without_seconds(rep.rows) == _without_seconds(full.rows[:kept])
+
+
+class TestFactorReuse:
+    def test_dn_factors_less_often_than_it_steps(self):
+        # chord Newton: the held factors outlive Newton steps and outer steps
+        prob = cubic_reaction_problem()
+        mesh = build_rect_mesh(3, 2, 1 / 16)
+        decomp = decompose_vertical(mesh, 1.5)
+        ref = solve_monolithic(prob, mesh)
+        rep = run_dirichlet_neumann(DNConfig(s=0.36),
+                                    *fresh_workspaces(prob, mesh, decomp), ref)
+        steps = sum(row.newton1 + row.newton2 for row in rep.rows)
+        assert rep.converged
+        assert rep.final_error <= 1e-8
+        assert 0 < rep.factorizations < steps
+        assert rep.summary()["factorizations"] == rep.factorizations

@@ -82,6 +82,51 @@ class TestInvertOperator:
         assert space.dual_norm(a @ x - psi) <= 1e-11
 
 
+class _Held:
+    """Held factor for damped_newton that counts its refactors."""
+
+    def __init__(self, solve):
+        self.solve = solve
+        self.refactors = 0
+
+    def refactor(self, factor, jac):
+        self.refactors += 1
+        self.solve = factor(jac)
+        return self.solve
+
+
+def _dense_factor(jac):
+    return lambda rhs: np.linalg.solve(jac, rhs)
+
+
+class TestChordNewton:
+    def test_exact_held_factor_is_reused(self):
+        # for a linear residual the held factor of its matrix is exact
+        rng = np.random.default_rng(6)
+        a = random_spd(4, rng)
+        b = rng.standard_normal(4)
+        held = _Held(_dense_factor(a))
+        result = damped_newton(lambda x: a @ x - b, lambda x: a, _dense_factor,
+                               np.linalg.norm, np.zeros(4), 1e-12, 10, held=held)
+        assert held.refactors == 0
+        assert result.iterations == 1
+        assert np.linalg.norm(a @ result.x - b) <= 1e-12
+
+    def test_stale_held_factor_refactors(self):
+        # x + x^3 = 10 from x = 3 with the held slope 1 of the linearization
+        # at 0: the chord step lands at -17 and must be refused
+        stale = _dense_factor(np.eye(1))
+        held = _Held(stale)
+        result = damped_newton(lambda x: x + x ** 3 - 10.0,
+                               lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
+                               _dense_factor, np.linalg.norm, np.array([3.0]), 1e-12, 50,
+                               held=held)
+        assert held.refactors >= 1
+        assert held.solve is not stale
+        assert abs(result.x[0] + result.x[0] ** 3 - 10.0) <= 1e-12
+        assert abs(result.x[0] - 2.0) < 1e-12
+
+
 class TestSplittingProblem:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from ddsemi.mesh import build_rect_mesh, decompose_vertical
 from ddsemi.oracle import dense_brute_force, solve_monolithic
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
-from ddsemi.splitting import SingularJacobian, monotonicity_probe
+from ddsemi.splitting import SingularJacobian, SplittingProblem, monotonicity_probe
 from ddsemi.subdomain import (InterfaceVector, NewtonDivergence,
                               SteklovOperator, SubdomainWorkspace)
 
@@ -353,10 +353,10 @@ class TestSolveTolerance:
         seen = []
         original = subdomain.sparse_newton
 
-        def spy(residual_fn, jacobian_fn, u0, tol, max_iter):
+        def spy(residual_fn, jacobian_fn, u0, tol, max_iter, *rest):
             seen.append(tol)
             # record the tolerance asked for, but solve to a loose one
-            return original(residual_fn, jacobian_fn, u0, max(tol, 1e-8), max_iter)
+            return original(residual_fn, jacobian_fn, u0, max(tol, 1e-8), max_iter, *rest)
 
         monkeypatch.setattr(subdomain, "sparse_newton", spy)
         return seen
@@ -423,3 +423,71 @@ class TestSolveRepeat:
         assert ws.newton_iters == steps
         assert again.data.tobytes() == first.tobytes()
         assert ws.last_neumann.data.tobytes() == first.tobytes()
+
+
+class TestHeldFactor:
+    def test_nearby_solve_reuses_the_factor(self, coarse_setup):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 2)
+        eta = InterfaceVector(np.full(decomp.n_interface, 0.1))
+        ws.dirichlet_solve(eta)
+        steps, factorizations = ws.newton_iters, ws.factorizations
+        assert 0 < factorizations < steps
+        u = ws.dirichlet_solve(1.0001 * eta)
+        assert ws.newton_iters > steps
+        assert ws.factorizations == factorizations
+        assert np.linalg.norm(ws.asm.residual(u.data, prob)[: ws.m]) <= ws.newton_tol
+
+    def test_stale_factor_forces_refactor(self, coarse_setup):
+        # the reaction slope 30 u^2 at trace 5 is far from its value at trace 0,
+        # so the held factor's chord step cannot contract enough
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        ws.dirichlet_solve(InterfaceVector(np.zeros(decomp.n_interface)))
+        held = ws._held["dirichlet"]
+        stale = held.solve
+        factorizations = ws.factorizations
+        u = ws.dirichlet_solve(InterfaceVector(np.full(decomp.n_interface, 5.0)))
+        assert ws.factorizations > factorizations
+        assert held.solve is not stale
+        assert np.linalg.norm(ws.asm.residual(u.data, prob)[: ws.m]) <= ws.newton_tol
+
+    def test_kinds_hold_separate_factors(self, coarse_setup):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        for kind in SOLVE_KINDS:
+            before = ws.factorizations
+            _call_solve(ws, kind, None)
+            assert ws.factorizations > before
+            assert ws._held[kind].solve is not None
+
+
+class TestInterfaceProblem:
+    def test_building_it_takes_no_newton_step(self, coarse_setup):
+        # the dimension check must not apply the operators: that is a solve
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws1 = SubdomainWorkspace(mesh, decomp, prob, 1)
+        ws2 = SubdomainWorkspace(mesh, decomp, prob, 2)
+        k = decomp.n_interface
+        SplittingProblem(SteklovOperator(ws1), SteklovOperator(ws2), np.zeros(k))
+        with pytest.raises(ValueError, match="dimension"):
+            SplittingProblem(SteklovOperator(ws1), SteklovOperator(ws2), np.zeros(k + 1))
+        assert ws1.newton_iters == ws2.newton_iters == 0
+        assert ws1.factorizations == ws2.factorizations == 0
+
+    def test_correction_problem_is_built_once(self, coarse_setup, monkeypatch):
+        # one zero-source callable per workspace, so its load is integrated once
+        calls = []
+
+        def no_source(x, y):
+            calls.append(1)
+            return np.zeros_like(x)
+
+        monkeypatch.setattr(subdomain, "_no_source", no_source)
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        for value in (0.01, 0.02):
+            ws.neumann_correction_solve(
+                InterfaceVector(np.full(decomp.n_interface, value), dual=True))
+        assert ws.newton_iters > 0
+        assert len(calls) == 1
