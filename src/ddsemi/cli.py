@@ -141,7 +141,7 @@ def validate_config(cfg):
     integer("max_iter", 1)
     integer("newton_max", 1)
     integer("seed")
-    integer("workers")
+    integer("workers", 1)
     if integer("degree") not in (1, 2, 4):
         raise ConfigError(f"degree must be 1, 2 or 4 (got {cfg['degree']!r})")
     for key in ("timing", "full_scale"):
@@ -301,8 +301,9 @@ def _methods(cfg):
 
 
 def _map(fn, items, workers):
-    """[fn(item) for item in items], on a pool of ``workers`` threads if more
-    than one."""
+    """[fn(item) for item in items], on a pool of ``workers`` threads, at most
+    one per usable CPU, if more than one."""
+    workers = min(workers, len(os.sched_getaffinity(0)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))

@@ -11,7 +11,9 @@ assembled residual at the constrained subdomain solution; its inverse is a
 coupled solve over interior and interface unknowns. All four nonlinear
 solves run one Newton kernel, which reuses the held factor of its kind
 across Newton steps and solves (chord Newton), and every sparse LU goes
-through one helper.
+through one helper and one factorization entry point, ``splu``: LAPACK's
+banded LU on a reverse Cuthill-McKee order for narrow patterns, SuperLU
+for wide ones.
 """
 
 import ctypes
@@ -19,7 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu as superlu
 
 from .assembly import DEFAULT_DEGREE, Assembler, FieldVector, interface_mass_matrix
 from .splitting import MonotoneOperator, NonConvergence, SingularJacobian, damped_newton
@@ -27,6 +31,16 @@ from .splitting import MonotoneOperator, NonConvergence, SingularJacobian, dampe
 # Every Jacobian factored here is symmetric, so a minimum-degree ordering of
 # the pattern of A^T + A keeps the LU fill lower than SuperLU's COLAMD default.
 ORDERING = "MMD_AT_PLUS_A"
+# Patterns whose reverse Cuthill-McKee half-bandwidth is at most this are
+# factored by LAPACK's banded LU, wider ones by SuperLU. NN on the p-Laplace
+# problem, 2-core VM, SuperLU against banded: half-bandwidth 48 (h = 1/32,
+# 12 outer steps) 3.0 -> 1.5 s with OpenBLAS's default two threads and
+# 2.7 -> 1.7 s with one; 96 (h = 1/64, 8 outer steps) 15.5 -> 25.5 s with
+# two threads, 14.7 -> 11.0 s with one, and peak RSS 144 -> 218 MB. Band
+# storage grows as (3k + 1) n, so h = 1/48 (k = 72, +28 MB) stays on SuperLU.
+BAND_MAX = 64
+
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 
 # importable under this name too: one failure class covers every Newton solve
@@ -78,10 +92,78 @@ class InterfaceVector:
         return self.data.shape[0]
 
 
-def _factor(jac):
-    """Solve function of the sparse LU of jac."""
+class BandOrder:
+    """Symbolic part of a factorization, computed once per sparsity pattern.
+
+    ``perm`` is the reverse Cuthill-McKee order of the pattern of the square
+    sparse matrix a (Cuthill & McKee 1969; George & Liu 1981, ch. 4), ``k`` the
+    half-bandwidth of a on that order and, when ``banded`` (k <= BAND_MAX),
+    ``scatter`` the position of each stored entry of a in LAPACK band
+    storage: A[i, j] at ab[2k + i - j, j] of a (3k + 1, n) array in Fortran
+    order, whose top k rows take the fill of partial pivoting. Positions
+    refer to a's entries in CSR form.
+    """
+
+    def __init__(self, a):
+        a = a.tocsr()
+        n = a.shape[0]
+        self.indptr, self.indices = a.indptr.copy(), a.indices.copy()
+        self.perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.intp)
+        rank[self.perm] = np.arange(n)
+        rows = rank[np.repeat(np.arange(n), np.diff(a.indptr))]
+        cols = rank[a.indices]
+        self.k = int(np.abs(rows - cols).max(initial=0))
+        self.banded = self.k <= BAND_MAX
+        self.scatter = (2 * self.k + rows - cols) + (3 * self.k + 1) * cols \
+            if self.banded else None
+
+    def fits(self, a):
+        """Whether a has the pattern this order was computed from."""
+        a = a.tocsr()
+        return np.array_equal(self.indptr, a.indptr) and np.array_equal(self.indices, a.indices)
+
+
+class BandedLU:
+    """LAPACK banded LU with partial pivoting of a sparse matrix permuted to
+    its BandOrder; ``solve(b)`` and ``nnz`` (the band storage) as on
+    SciPy's SuperLU."""
+
+    def __init__(self, a, order):
+        n, k = a.shape[0], order.k
+        ab = np.bincount(order.scatter, weights=a.tocsr().data, minlength=(3 * k + 1) * n)
+        self._lu, self._piv, info = _gbtrf(ab.reshape(n, 3 * k + 1).T, k, k, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+        self._k, self._perm = k, order.perm
+        self.nnz = self._lu.size
+
+    def solve(self, b):
+        x, _ = _gbtrs(self._lu, self._k, self._k, b[self._perm], self._piv, overwrite_b=1)
+        out = np.empty_like(x)
+        out[self._perm] = x
+        return out
+
+
+def splu(a, order=None):
+    """LU factors of the square sparse matrix a, with ``solve(b)`` and ``nnz``.
+
+    ``order`` is the BandOrder of a's pattern, computed here when not given.
+    A banded order is factored by LAPACK (``gbtrf``), a wider one by SuperLU
+    with ORDERING; both pivot partially. Raises RuntimeError when a is
+    exactly singular.
+    """
+    if order is None:
+        order = BandOrder(a)
+    if not order.banded:
+        return superlu(sp.csc_matrix(a), permc_spec=ORDERING)
+    return BandedLU(a, order)
+
+
+def _factor(jac, order=None):
+    """Solve function of the LU factors of jac (see ``splu``)."""
     try:
-        return splu(sp.csc_matrix(jac), permc_spec=ORDERING).solve
+        return splu(jac, order).solve
     except RuntimeError as exc:
         raise SingularJacobian(f"sparse factorization failed: {exc}") from exc
 
@@ -95,26 +177,34 @@ except (AttributeError, OSError, TypeError):  # not glibc
 
 
 class HeldFactor:
-    """The sparse LU of one solve kind, kept across Newton steps and solves.
+    """The LU factors of one solve kind, kept across Newton steps and
+    solves, and the BandOrder of their pattern, which is recomputed only
+    when the pattern changes.
 
     ``solve`` is the solve function of the last linearization factored, or
     None; ``factorizations`` counts the factorizations. A replaced factor is
-    freed before its successor is built, and glibc is then asked to return
-    the freed heap: a long-lived factor otherwise keeps the pages freed
-    below it resident (DN at h = 1/24: peak RSS 111 MB without the trim,
-    92 MB with it, 89 MB when every Newton step factors afresh).
+    freed before its successor is built. After a SuperLU factor glibc is
+    then asked to return the freed heap: a long-lived SuperLU factor
+    otherwise keeps the pages freed below it resident (NN at h = 1/48, 12
+    outer steps: peak RSS 108 MB with the trim, 130-176 MB without it). A
+    banded factor is one array, and trimming after it costs more than the
+    factorization.
     """
 
     def __init__(self):
         self.solve = None
+        self.order = None
         self.factorizations = 0
 
     def refactor(self, factor, jac):
+        """Replace the factor by ``factor(jac, order)``; returns its solve."""
         if self.solve is not None:
             self.solve = None
-            if _malloc_trim is not None:
+            if not self.order.banded and _malloc_trim is not None:
                 _malloc_trim(0)
-        self.solve = factor(jac)
+        if self.order is None or not self.order.fits(jac):
+            self.order = BandOrder(jac)
+        self.solve = factor(jac, self.order)
         self.factorizations += 1
         return self.solve
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ddsemi.cli import (_write_report_csv, load_config, main, make_decomposition,
-                        make_problem, parse_h)
+from ddsemi import cli
+from ddsemi.cli import (DEFAULTS, ConfigError, _write_report_csv, load_config, main,
+                        make_decomposition, make_problem, parse_h, validate_config)
 from ddsemi.iterations import IterationRow, MethodReport
 from ddsemi.mesh import build_rect_mesh
 
@@ -140,6 +141,11 @@ class TestRunCommand:
     def test_malformed_values_exit_2(self, tmp_path, argv):
         assert run_cli(*argv, "--output-dir", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            validate_config(dict(DEFAULTS, workers=workers))
+
     def test_bad_degree_in_config_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("degree = 3\nh = 1/4\n")
@@ -248,3 +254,36 @@ class TestCompareCommand:
             assert code == 0
             blobs.append((out / "compare_h4.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # a stand-in pool records its size and maps serially: no thread starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        return sizes
+
+    @pytest.mark.parametrize("workers, size", [(64, 3), (3, 3), (2, 2)])
+    def test_pool_is_capped_at_the_usable_cpus(self, pools, workers, size):
+        assert cli._map(lambda x: 2 * x, range(5), workers) == [0, 2, 4, 6, 8]
+        assert pools == [size]
+
+    def test_one_worker_runs_serially(self, pools):
+        assert cli._map(lambda x: x + 1, [1, 2], 1) == [2, 3]
+        assert pools == []

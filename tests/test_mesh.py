@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsemi.mesh import (CutOffGrid, DisconnectedPath, NonIntegerSubdivision,
                          PathNotOnGrid, build_rect_mesh, decompose_staircase,
@@ -164,6 +166,84 @@ class TestDecomposeStaircase:
             decompose_staircase(m, [(1.5, 0), (1.5, 1.5)])  # dead end inside
         with pytest.raises(DisconnectedPath):
             decompose_staircase(m, [(1.5, 0.5), (1.5, 1.5)])  # starts off boundary
+
+
+STAIR_H = 1 / 8
+
+
+@st.composite
+def monotone_staircases(draw):
+    """Lattice polylines on the 3 x 2 rectangle at h = 1/8 from the bottom
+    edge to the top edge, alternating up and sideways steps, with every
+    point but the two ends off the outer boundary."""
+    levels = sorted(draw(st.lists(st.integers(1, 15), max_size=6, unique=True)))
+    columns = sorted(draw(st.lists(st.integers(1, 23), min_size=len(levels) + 1,
+                                   max_size=len(levels) + 1, unique=True)),
+                     reverse=draw(st.booleans()))
+    points = [(columns[0], 0)]
+    for level, column in zip(levels, columns[1:]):
+        points += [(points[-1][0], level), (column, level)]
+    points.append((points[-1][0], 16))
+    return [(i * STAIR_H, j * STAIR_H) for i, j in points]
+
+
+def _components(mesh, triangles):
+    """Number of edge-connected components of a set of triangles."""
+    parent = {t: t for t in triangles.tolist()}
+
+    def root(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    first_owner = {}
+    for t in parent:
+        a, b, c = mesh.triangles[t]
+        for u, v in ((a, b), (b, c), (c, a)):
+            other = first_owner.setdefault((min(u, v), max(u, v)), t)
+            parent[root(other)] = root(t)
+    return len({root(t) for t in parent})
+
+
+def _lattice_nodes(mesh, path):
+    """Every mesh node on the polyline, corners and both ends included."""
+    nodes = []
+    for (x0, y0), (x1, y1) in zip(path[:-1], path[1:]):
+        count = int(round((abs(x1 - x0) + abs(y1 - y0)) / mesh.h))
+        nodes += [mesh.node_id(x0 + (x1 - x0) * t / count, y0 + (y1 - y0) * t / count)
+                  for t in range(count + 1)]
+    return nodes
+
+
+class TestRandomStaircases:
+    mesh = build_rect_mesh(3, 2, STAIR_H)
+
+    @settings(max_examples=40, deadline=None)
+    @given(path=monotone_staircases())
+    def test_two_labelled_components(self, path):
+        d = decompose_staircase(self.mesh, path)
+        assert set(np.unique(d.subdomain_of_triangle).tolist()) == {1, 2}
+        for side in (1, 2):
+            assert _components(self.mesh, d.side_triangles(side)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(path=monotone_staircases())
+    def test_sides_index_the_same_ordered_interface(self, path):
+        d = decompose_staircase(self.mesh, path)
+        for side in (1, 2):
+            dm = d.side_dofmap(side)
+            np.testing.assert_array_equal(dm.node_of_dof[dm.n_interior:], d.interface_nodes)
+        # ordered along the path: consecutive interface nodes are one mesh edge apart
+        steps = np.abs(np.diff(self.mesh.nodes[d.interface_nodes], axis=0)).sum(axis=1)
+        np.testing.assert_allclose(steps, STAIR_H)
+        assert d.n_interface == len(set(_lattice_nodes(self.mesh, path))) - 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(path=monotone_staircases(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_glue_of_restrictions_is_identity(self, path, seed):
+        d = decompose_staircase(self.mesh, path)
+        u = np.random.default_rng(seed).standard_normal(d.global_dofmap().n_dofs)
+        assert d.glue(d.restrict(u, 1), d.restrict(u, 2)).tobytes() == u.tobytes()
 
 
 def test_write_mesh_files(tmp_path):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import SuperLU
 
 from ddsemi import subdomain
-from ddsemi.assembly import Assembler
-from ddsemi.mesh import build_rect_mesh, decompose_vertical
-from ddsemi.oracle import dense_brute_force, solve_monolithic
+from ddsemi.assembly import Assembler, interface_mass_matrix
+from ddsemi.mesh import build_rect_mesh, decompose_staircase, decompose_vertical
+from ddsemi.oracle import dense_brute_force, mesh_global_dofmap, solve_monolithic
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
 from ddsemi.splitting import SingularJacobian, SplittingProblem, monotonicity_probe
@@ -491,3 +495,94 @@ class TestInterfaceProblem:
                 InterfaceVector(np.full(decomp.n_interface, value), dual=True))
         assert ws.newton_iters > 0
         assert len(calls) == 1
+
+
+def _assert_solves(a, b, expected):
+    x = subdomain.splu(a).solve(b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestFactorization:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+           density=st.floats(0.0, 0.3))
+    def test_banded_solve_matches_dense(self, seed, n, density):
+        # structurally symmetric pattern, non-symmetric diagonally dominant values
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        mask |= mask.T
+        np.fill_diagonal(mask, True)
+        dense = np.where(mask, rng.standard_normal((n, n)), 0.0)
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+        a = sp.csr_matrix((dense[mask], np.nonzero(mask)), shape=(n, n))
+        assert subdomain.BandOrder(a).banded
+        b = rng.standard_normal(n)
+        lu = subdomain.splu(a)
+        assert isinstance(lu, subdomain.BandedLU)
+        assert type(lu.nnz) is int
+        expected = np.linalg.solve(dense, b)
+        for matrix in (a, a.tocsc()):
+            _assert_solves(matrix, b, expected)
+
+    def test_exactly_singular_is_singular_jacobian(self):
+        a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert subdomain.BandOrder(a).banded
+        with pytest.raises(SingularJacobian, match="factorization failed"):
+            subdomain._factor(a)
+
+    def test_wide_pattern_uses_superlu(self):
+        n = subdomain.BAND_MAX + 2
+        rng = np.random.default_rng(8)
+        dense = rng.standard_normal((n, n)) + n * np.eye(n)
+        a = sp.csr_matrix(dense)
+        order = subdomain.BandOrder(a)
+        assert order.k > subdomain.BAND_MAX and not order.banded
+        lu = subdomain.splu(a)
+        assert isinstance(lu, SuperLU)
+        b = rng.standard_normal(n)
+        _assert_solves(a, b, np.linalg.solve(dense, b))
+
+    @pytest.mark.parametrize("geometry", ["vertical", "staircase"])
+    def test_subdomain_jacobians_match_superlu(self, geometry):
+        prob = cubic_reaction_problem()
+        mesh = build_rect_mesh(3, 2, 1 / 8)
+        decomp = decompose_vertical(mesh, 1.5) if geometry == "vertical" else \
+            decompose_staircase(mesh, [(1.5, 0), (1.5, 1), (2, 1), (2, 2)])
+        rng = np.random.default_rng(9)
+        matrices = []
+        for side in (1, 2):
+            dm = decomp.side_dofmap(side)
+            asm = Assembler(mesh, decomp.side_triangles(side), dm)
+            jac = asm.jacobian(rng.standard_normal(asm.n_dofs), prob)
+            m = dm.n_interior
+            penalty = sp.block_diag([sp.csr_matrix((m, m)), interface_mass_matrix(decomp)],
+                                    format="csr")
+            matrices += [jac[:m, :m], jac + 46.0 * penalty]
+        glob = Assembler(mesh, np.arange(mesh.n_triangles), mesh_global_dofmap(mesh))
+        matrices.append(glob.jacobian(rng.standard_normal(glob.n_dofs), prob))
+        for a in matrices:
+            assert subdomain.BandOrder(a).banded
+            b = rng.standard_normal(a.shape[0])
+            expected = subdomain.superlu(a.tocsc(), permc_spec=subdomain.ORDERING).solve(b)
+            _assert_solves(a, b, expected)
+
+    def test_changed_pattern_recomputes_the_order(self):
+        held = subdomain.HeldFactor()
+        n = 6
+        tri = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        penta = sp.diags([-1.0, -1.0, 6.0, -1.0, -1.0], [-2, -1, 0, 1, 2], shape=(n, n),
+                         format="csr")
+        b = np.arange(1.0, n + 1)
+        held.refactor(subdomain._factor, tri)
+        order = held.order
+        held.refactor(subdomain._factor, 2.0 * tri)  # same pattern, new values
+        assert held.order is order
+        np.testing.assert_allclose(held.solve(b), np.linalg.solve(2.0 * tri.toarray(), b),
+                                   rtol=1e-14)
+        held.refactor(subdomain._factor, penta)
+        assert held.order is not order
+        assert held.order.fits(penta) and not held.order.fits(tri)
+        assert held.order.k == 2
+        np.testing.assert_allclose(held.solve(b), np.linalg.solve(penta.toarray(), b),
+                                   rtol=1e-14)
+        assert held.factorizations == 3
