@@ -8,7 +8,13 @@ contribute the value zero. Residual entry k of a field u is
 
 over a fixed triangle subset; the Jacobian entry (j, k) replaces the
 integrand by alpha grad(phi_j).grad(phi_k) + beta_y(x, w) phi_j phi_k.
-Accumulation order is fixed, so repeated assembly is bitwise reproducible.
+For the semilinear kind the diffusion term is linear in u with a fixed
+coefficient, so its stiffness matrix K is assembled once per coefficient
+and held: the residual is K @ u plus the per-triangle reaction minus the
+load, and the Jacobian is K plus the reaction mass. The p-Laplace
+diffusion depends on the field and is integrated per triangle on every
+call. Accumulation order is fixed, so repeated assembly is bitwise
+reproducible.
 """
 
 from dataclasses import dataclass
@@ -69,6 +75,11 @@ def _require_finite(name, values, field):
         raise NonFiniteCoefficient(f"{name} must be finite at finite field values")
 
 
+def _modulus(g, eps):
+    """Regularized p-Laplace modulus sqrt(|g|^2 + eps^2) per triangle."""
+    return np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1] + eps ** 2)
+
+
 _H1 = SemilinearProblem(
     alpha=lambda x, y: np.ones_like(x),
     beta=lambda x, y, u: u,
@@ -82,11 +93,16 @@ class Assembler:
 
     The triangle subset and the dof map are fixed at construction; the
     field argument varies per call. The field-independent integrals of
-    the source and of the diffusion coefficient are computed once per
-    callable and kept for the assembler's lifetime, so callables must be
-    pure. ``observed`` holds the smallest diffusion value (``alpha_min``,
-    semilinear kind) and reaction slope (``beta_y_min``) seen at the
-    quadrature points of this assembler's residual and Jacobian calls.
+    the source and the semilinear stiffness matrix of the diffusion
+    coefficient are computed once per callable and kept for the
+    assembler's lifetime, so callables must be pure; every returned
+    Jacobian owns its arrays. ``jacobian(..., interior=True)`` returns
+    the block of the interior dofs, picked from the summed nonzeros
+    without forming the full matrix; it equals the slice ``[:m, :m]`` of
+    the full Jacobian bit for bit. ``observed`` holds the smallest
+    diffusion value (``alpha_min``, semilinear kind) and reaction slope
+    (``beta_y_min``) seen at the quadrature points of this assembler's
+    residual and Jacobian calls.
     """
 
     def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
@@ -116,23 +132,25 @@ class Assembler:
         self.qx = pts[:, 0, 0:1] + np.outer(e1[:, 0], q[:, 0]) + np.outer(e2[:, 0], q[:, 1])
         self.qy = pts[:, 0, 1:2] + np.outer(e1[:, 1], q[:, 0]) + np.outer(e2[:, 1], q[:, 1])
         self.phi = np.stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])  # (3, nq)
-        self._wphi = self.w[:, None] * self.phi.T  # (nq, 3)
-        self._integrals = {}  # (kind, callable) -> per-triangle integrals
+        self._wphi = self.w[None, :] * self.phi  # (3, nq)
+        self._integrals = {}  # (kind, callable) -> load integrals or stiffness matrix
 
         tri_dofs = dofmap.dof_of_node[mesh.triangles[self.tris]]  # (nt, 3), -1 constrained
-        self.tri_dofs = tri_dofs
         self.n_dofs = dofmap.n_dofs
         # Sentinel slot n_dofs catches constrained nodes on gather/scatter.
-        self.gather = np.where(tri_dofs < 0, self.n_dofs, tri_dofs)
+        # The flat gather is vertex-major, as the (3, nt) local residual
+        # entries; gather views it.
+        self._flat_gather = np.where(tri_dofs < 0, self.n_dofs, tri_dofs).T.ravel()
+        self.gather = self._flat_gather.reshape(3, nt).T
 
         # Field-independent blocks of the local Jacobians, flattened (j, k):
         # w_q phi_j phi_k per quadrature point, grad(phi_j).grad(phi_k) per triangle.
-        wphi = self.w[None, :] * self.phi
-        self._mass_table = (wphi[:, None, :] * self.phi[None, :, :]).reshape(9, -1).T.copy()
+        self._mass_table = (self._wphi[:, None, :] * self.phi[None, :, :]).reshape(9, -1).T.copy()
         gx, gy = self.grads[:, :, 0], self.grads[:, :, 1]
         self._stiff = (gx[:, :, None] * gx[:, None, :]
                        + gy[:, :, None] * gy[:, None, :]).reshape(nt, 9)
         self._build_pattern(tri_dofs)
+        self._interior = None  # pattern of the interior block, built on first use
 
     def _build_pattern(self, tri_dofs):
         """Canonical CSR pattern of the Jacobian and the map from the 9*nt
@@ -149,6 +167,24 @@ class Assembler:
         self._indices = (keys % n).astype(np.int32)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=self._indptr[1:])
+
+    def _interior_pattern(self):
+        """(keep, indices, indptr) of the block of the m interior dofs:
+        ``keep`` lists the Jacobian's nonzeros in rows and columns below m,
+        in their CSR order, which is the block's."""
+        if self._interior is None:
+            m = self.dofmap.n_interior
+            rows = np.repeat(np.arange(self.n_dofs), np.diff(self._indptr))
+            keep = np.flatnonzero((rows < m) & (self._indices < m)).astype(np.int32)
+            indptr = np.zeros(m + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows[keep], minlength=m), out=indptr[1:])
+            self._interior = (keep, self._indices[keep], indptr)
+        return self._interior
+
+    def _fill(self, local):
+        """Jacobian nonzeros summed from the (nt, 9) local entries."""
+        return np.bincount(self._scatter, weights=local.ravel(),
+                           minlength=self._nnz + 1)[: self._nnz]
 
     # -- field evaluation ------------------------------------------------
 
@@ -176,7 +212,9 @@ class Assembler:
             out = self._integrals[(kind, fn)] = build(fn)
         return out
 
-    def _alpha_integral(self, alpha):
+    def _stiffness(self, alpha):
+        """Semilinear stiffness matrix K, the integral of alpha
+        grad(phi_j).grad(phi_k), on the Jacobian's pattern."""
         aq = _at_points(alpha, self.qx, self.qy)
         amin = float(aq.min()) if aq.size else np.inf
         self.observed["alpha_min"] = min(self.observed.get("alpha_min", amin), amin)
@@ -185,47 +223,46 @@ class Assembler:
         if not (amin > 0.0 and np.isfinite(coef).all()):
             raise ValueError(
                 f"diffusion coefficient must be positive and finite (min {amin:g})")
-        return coef
+        # K shares the pattern's index arrays; it never leaves the assembler
+        return sp.csr_matrix((self._fill(coef[:, None] * self._stiff), self._indices,
+                              self._indptr), shape=(self.n_dofs, self.n_dofs))
 
     def _load_integral(self, source):
-        """integral(f phi_k) per triangle and vertex, (nt, 3)."""
-        load = self.det[:, None] * (_at_points(source, self.qx, self.qy) @ self._wphi)
+        """integral(f phi_k) per vertex and triangle, (3, nt)."""
+        load = self.det * (self._wphi @ _at_points(source, self.qx, self.qy).T)
         if not np.isfinite(load).all():
             raise NonFiniteCoefficient("source must be finite")
         return load
-
-    def _diffusion(self, prob, gu):
-        """(per-triangle integral of the scalar coefficient, coefficient matrix or None)."""
-        if prob.kind == SEMILINEAR:
-            return self._integral("alpha", prob.alpha, self._alpha_integral), None
-        anorm = np.sqrt(gu[:, 0] * gu[:, 0] + gu[:, 1] * gu[:, 1] + prob.grad_eps ** 2)
-        return self.area * anorm, anorm
 
     # -- operators --------------------------------------------------------
 
     def residual(self, u, prob):
         """Dual vector of the semilinear operator minus the load."""
+        u = np.asarray(u, dtype=float)
         uv = self._vertex_values(u)
-        gu = self._gradient(uv)
         uq = uv @ self.phi
-        coef, _ = self._diffusion(prob, gu)
 
         bq = _at_points(prob.beta, self.qx, self.qy, uq)
         _require_finite("reaction term beta", bq, uq)
-        react = self.det[:, None] * (bq @ self._wphi) \
-            - self._integral("load", prob.source, self._load_integral)  # (nt, 3)
+        # vertex-major (3, nt): the triangle-wise scalings run along rows
+        local = self.det * (self._wphi @ bq.T) \
+            - self._integral("load", prob.source, self._load_integral)
+        if prob.kind != SEMILINEAR:
+            gu = self._gradient(uv)
+            coef = self.area * _modulus(gu, prob.grad_eps)
+            local = coef * self._dot_grads(gu).T + local
 
-        local = coef[:, None] * self._dot_grads(gu) + react
-        out = np.bincount(self.gather.T.ravel(), weights=local.T.ravel(),
-                          minlength=self.n_dofs + 1)
-        return out[: self.n_dofs]
+        out = np.bincount(self._flat_gather, weights=local.ravel(),
+                          minlength=self.n_dofs + 1)[: self.n_dofs]
+        if prob.kind == SEMILINEAR:
+            out += self._integral("stiffness", prob.alpha, self._stiffness) @ u
+        return out
 
-    def jacobian(self, w, prob):
-        """Sparse symmetric linearization at the field w, in canonical CSR."""
+    def jacobian(self, w, prob, interior=False):
+        """Sparse symmetric linearization at the field w, in canonical CSR;
+        with ``interior`` only its block of the interior dofs."""
         wv = self._vertex_values(w)
-        gw = self._gradient(wv) if prob.kind != SEMILINEAR else None
         wq = wv @ self.phi
-        coef, anorm = self._diffusion(prob, gw)
 
         byq = _at_points(prob.beta_y, self.qx, self.qy, wq)
         _require_finite("reaction slope beta_y", byq, wq)
@@ -235,17 +272,23 @@ class Assembler:
         mass = self.det[:, None] * (byq @ self._mass_table)  # (nt, 9)
 
         if prob.kind == SEMILINEAR:
-            stiff = coef[:, None] * self._stiff
+            data = self._integral("stiffness", prob.alpha, self._stiffness).data \
+                + self._fill(mass)
         else:
             # d/dg [sqrt(|g|^2+eps^2) g] = a I + (g x g)/a with a the regularized modulus
+            gw = self._gradient(wv)
+            anorm = _modulus(gw, prob.grad_eps)
             gdotj = self._dot_grads(gw)
             rank1 = (gdotj[:, :, None] * gdotj[:, None, :]).reshape(-1, 9) / anorm[:, None]
             stiff = self.area[:, None] * (anorm[:, None] * self._stiff + rank1)
+            data = self._fill(stiff + mass)
 
-        data = np.bincount(self._scatter, weights=(stiff + mass).ravel(),
-                           minlength=self._nnz + 1)[: self._nnz]
-        return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
-                             shape=(self.n_dofs, self.n_dofs))
+        indices, indptr = self._indices, self._indptr
+        if interior:
+            keep, indices, indptr = self._interior_pattern()
+            data = data[keep]
+        n = indptr.shape[0] - 1
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
     def h1_matrix(self):
         """Gram matrix of the discrete H1 inner product (stiffness + mass);

@@ -330,10 +330,11 @@ class SubdomainWorkspace:
         the held factor of ``kind``. The caller gets a copy, never the warm
         start itself.
 
-        With ``eta`` only the m interior unknowns are free and the trace is
-        fixed to eta. Otherwise all unknowns are free: interior residual
-        zero and interface residual psi, or with ``robin_s`` the interface
-        residual plus robin_s * M_Gamma * trace equal to psi.
+        With ``eta`` only the m interior unknowns are free, the trace is
+        fixed to eta and Newton factors the assembled interior block.
+        Otherwise all unknowns are free: interior residual zero and
+        interface residual psi, or with ``robin_s`` the interface residual
+        plus robin_s * M_Gamma * trace equal to psi.
         """
         m = self.m
         free = self.asm.n_dofs if eta is None else m
@@ -356,9 +357,7 @@ class SubdomainWorkspace:
 
         def jacobian(x):
             full[:free] = x
-            jac = self.asm.jacobian(full, problem)
-            if eta is not None:
-                return jac[:m, :m]
+            jac = self.asm.jacobian(full, problem, interior=eta is not None)
             return jac if robin_s is None else jac + penalty
 
         x, iters, _ = sparse_newton(residual, jacobian, full[:free], tol, self.newton_max,

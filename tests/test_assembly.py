@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from ddsemi.assembly import (Assembler, FieldVector, assemble_jacobian,
                              assemble_residual, interface_mass_matrix)
-from ddsemi.mesh import DofMap, TriMesh, build_rect_mesh, decompose_vertical
+from ddsemi.mesh import (DofMap, TriMesh, build_rect_mesh, decompose_staircase,
+                         decompose_vertical)
 from ddsemi.oracle import dense_brute_force, mesh_global_dofmap
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
@@ -159,8 +162,34 @@ class TestResidual:
         first = asm.residual(np.full(3, 0.5), prob)
         again = asm.residual(np.full(3, 0.5), prob)
         asm.jacobian(np.ones(3), prob)
+        asm.jacobian(np.ones(3), prob, interior=True)
+        after = asm.residual(np.full(3, 0.5), prob)
         assert calls == {"alpha": 1, "source": 1}
         assert again.tobytes() == first.tobytes()
+        assert after.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
+    def test_returned_jacobian_shares_nothing(self, make_problem):
+        # writing into a returned matrix must leave the held stiffness alone
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_vertical(m, 1.5)
+        asm = Assembler(m, d.side_triangles(1), d.side_dofmap(1))
+        prob = make_problem()
+        w = 0.5 * np.random.default_rng(7).standard_normal(asm.n_dofs)
+        r = asm.residual(w, prob)
+        jac = asm.jacobian(w, prob)
+        block = asm.jacobian(w, prob, interior=True)
+        expected = [a.copy() for a in (jac.data, jac.indices, jac.indptr,
+                                       block.data, block.indices, block.indptr)]
+        for mat in (jac, block):
+            mat.data += 1.0
+            mat.indices[:] = 0
+        again = asm.jacobian(w, prob)
+        again_block = asm.jacobian(w, prob, interior=True)
+        assert asm.residual(w, prob).tobytes() == r.tobytes()
+        for got, want in zip((again.data, again.indices, again.indptr, again_block.data,
+                              again_block.indices, again_block.indptr), expected):
+            assert got.tobytes() == want.tobytes()
 
     def test_alpha_probe_recorded(self):
         m = build_rect_mesh(1, 1, 0.5)
@@ -282,6 +311,17 @@ def assert_matches_dense(sparse, dense):
     assert gap <= 1e-12 * max(1.0, np.abs(dense).max(initial=0.0))
 
 
+def assert_vector_matches(vec, expected):
+    gap = np.abs(vec - expected).max(initial=0.0)
+    assert gap <= 1e-12 * max(1.0, np.abs(expected).max(initial=0.0))
+
+
+def make_kind(kind):
+    if kind == "cubic-alpha":
+        return replace(cubic_reaction_problem(), alpha=lambda x, y: 1.0 + x * y)
+    return cubic_reaction_problem() if kind == "cubic" else p_laplace_problem()
+
+
 class TestSparsityPattern:
     def test_canonical_csr(self):
         m = build_rect_mesh(3, 2, 0.25)
@@ -338,6 +378,41 @@ class TestSparsityPattern:
         assert_canonical_csr(jac)
         assert_matches_dense(jac, oracle.jacobian(w))
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), inv_h=st.sampled_from([4, 6, 8]),
+           kind=st.sampled_from(["cubic", "cubic-alpha", "plaplace"]),
+           subset=st.sampled_from(["all", "side1", "side2", "random"]))
+    def test_residual_matches_dense_oracle(self, seed, inv_h, kind, subset):
+        m = build_rect_mesh(1, 0.5, 1 / inv_h)  # at most 45 nodes
+        d = decompose_vertical(m, 0.5)
+        rng = np.random.default_rng(seed)
+        if subset == "all":
+            dofmap, tris = mesh_global_dofmap(m), np.arange(m.n_triangles)
+        elif subset == "random":
+            dofmap = mesh_global_dofmap(m)
+            tris = np.flatnonzero(rng.random(m.n_triangles) < 0.5)
+        else:
+            side = 1 if subset == "side1" else 2
+            dofmap, tris = d.side_dofmap(side), d.side_triangles(side)
+        prob = make_kind(kind)
+        asm = Assembler(m, tris, dofmap)
+        u = rng.standard_normal(dofmap.n_dofs)
+        assert_vector_matches(asm.residual(u, prob),
+                              dense_brute_force(prob, m, dofmap, tris).residual(u))
+
+    def test_variable_alpha_jacobian_matches_dense_oracle(self):
+        # the held stiffness weights each triangle by its own alpha integral
+        m = build_rect_mesh(1, 0.5, 1 / 8)
+        d = decompose_vertical(m, 0.5)
+        prob = make_kind("cubic-alpha")
+        for side in (1, 2):
+            dofmap, tris = d.side_dofmap(side), d.side_triangles(side)
+            asm = Assembler(m, tris, dofmap)
+            w = np.random.default_rng(side).standard_normal(dofmap.n_dofs)
+            oracle = dense_brute_force(prob, m, dofmap, tris)
+            assert_matches_dense(asm.jacobian(w, prob), oracle.jacobian(w))
+            assert_vector_matches(asm.residual(w, prob), oracle.residual(w))
+
     def test_robin_penalty_sum(self):
         # the Robin Jacobian is the assembled one plus s times the embedded
         # interface mass matrix
@@ -355,6 +430,31 @@ class TestSparsityPattern:
         expected[ws.m:, ws.m:] += s * mass
         assert_canonical_csr(robin)
         assert_matches_dense(robin, expected)
+
+
+class TestInteriorBlock:
+    @pytest.mark.parametrize("geometry", ["vertical", "staircase"])
+    @pytest.mark.parametrize("kind", ["cubic", "cubic-alpha", "plaplace"])
+    def test_equals_slice_bitwise(self, geometry, kind):
+        m = build_rect_mesh(3, 2, 1 / 8)
+        if geometry == "vertical":
+            d = decompose_vertical(m, 1.5)
+        else:
+            d = decompose_staircase(m, [(1.5, 0), (1.5, 1), (2, 1), (2, 2)])
+        prob = make_kind(kind)
+        for side in (1, 2):
+            dofmap = d.side_dofmap(side)
+            asm = Assembler(m, d.side_triangles(side), dofmap)
+            mm = dofmap.n_interior
+            w = 0.5 * np.random.default_rng(side).standard_normal(asm.n_dofs)
+            block = asm.jacobian(w, prob, interior=True)
+            sliced = asm.jacobian(w, prob)[:mm, :mm]
+            assert block.shape == (mm, mm)
+            assert_canonical_csr(block)
+            for got, want in ((block.indptr, sliced.indptr), (block.indices, sliced.indices),
+                              (block.data, sliced.data)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestFieldVector:
