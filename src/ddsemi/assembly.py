@@ -13,8 +13,11 @@ coefficient, so its stiffness matrix K is assembled once per coefficient
 and held: the residual is K @ u plus the per-triangle reaction minus the
 load, and the Jacobian is K plus the reaction mass. The p-Laplace
 diffusion depends on the field and is integrated per triangle on every
-call. Accumulation order is fixed, so repeated assembly is bitwise
-reproducible.
+call: its local residual entries are added to the reaction's, and its
+local Jacobian is a_eps times the element stiffness plus a rank-one term.
+Per-triangle data is held component-major, (entries, triangles), so each
+kernel works on contiguous rows. Accumulation order is fixed, so repeated
+assembly is bitwise reproducible.
 """
 
 from dataclasses import dataclass
@@ -75,11 +78,6 @@ def _require_finite(name, values, field):
         raise NonFiniteCoefficient(f"{name} must be finite at finite field values")
 
 
-def _modulus(g, eps):
-    """Regularized p-Laplace modulus sqrt(|g|^2 + eps^2) per triangle."""
-    return np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1] + eps ** 2)
-
-
 _H1 = SemilinearProblem(
     alpha=lambda x, y: np.ones_like(x),
     beta=lambda x, y, u: u,
@@ -103,6 +101,11 @@ class Assembler:
     diffusion value (``alpha_min``, semilinear kind) and reaction slope
     (``beta_y_min``) seen at the quadrature points of this assembler's
     residual and Jacobian calls.
+
+    Per-triangle arrays put the triangle last: the basis gradients
+    ``_gx``, ``_gy`` are (3, nt), the element stiffness ``_stiff`` (9, nt)
+    with rows (j, k), the quadrature points ``qx``, ``qy`` (nq, nt), and the
+    local entries are scattered in that (j, k)-then-triangle order.
     """
 
     def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
@@ -121,44 +124,48 @@ class Assembler:
         self.area = 0.5 * self.det
 
         nt = self.tris.shape[0]
-        self.grads = np.empty((nt, 3, 2))
+        # Per-triangle data is component-major, so every kernel runs along
+        # contiguous rows of length nt: the basis gradients as two (3, nt)
+        # arrays, the quadrature points as (nq, nt).
+        self._gx = np.empty((3, nt))
+        self._gy = np.empty((3, nt))
         for i in range(3):
             d = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
-            self.grads[:, i, 0] = -d[:, 1] / self.det
-            self.grads[:, i, 1] = d[:, 0] / self.det
+            self._gx[i] = -d[:, 1] / self.det
+            self._gy[i] = d[:, 0] / self.det
 
         q = self.rule.points
         self.w = self.rule.weights
-        self.qx = pts[:, 0, 0:1] + np.outer(e1[:, 0], q[:, 0]) + np.outer(e2[:, 0], q[:, 1])
-        self.qy = pts[:, 0, 1:2] + np.outer(e1[:, 1], q[:, 0]) + np.outer(e2[:, 1], q[:, 1])
+        self.qx = pts[:, 0, 0] + np.outer(q[:, 0], e1[:, 0]) + np.outer(q[:, 1], e2[:, 0])
+        self.qy = pts[:, 0, 1] + np.outer(q[:, 0], e1[:, 1]) + np.outer(q[:, 1], e2[:, 1])
         self.phi = np.stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])  # (3, nq)
+        self._phi_t = self.phi.T.copy()  # (nq, 3): field values at the points
         self._wphi = self.w[None, :] * self.phi  # (3, nq)
         self._integrals = {}  # (kind, callable) -> load integrals or stiffness matrix
 
         tri_dofs = dofmap.dof_of_node[mesh.triangles[self.tris]]  # (nt, 3), -1 constrained
         self.n_dofs = dofmap.n_dofs
         # Sentinel slot n_dofs catches constrained nodes on gather/scatter.
-        # The flat gather is vertex-major, as the (3, nt) local residual
-        # entries; gather views it.
+        # The flat gather is vertex-major, as the (3, nt) local residual entries.
         self._flat_gather = np.where(tri_dofs < 0, self.n_dofs, tri_dofs).T.ravel()
-        self.gather = self._flat_gather.reshape(3, nt).T
 
-        # Field-independent blocks of the local Jacobians, flattened (j, k):
+        # Field-independent blocks of the local Jacobians, rows (j, k):
         # w_q phi_j phi_k per quadrature point, grad(phi_j).grad(phi_k) per triangle.
-        self._mass_table = (self._wphi[:, None, :] * self.phi[None, :, :]).reshape(9, -1).T.copy()
-        gx, gy = self.grads[:, :, 0], self.grads[:, :, 1]
-        self._stiff = (gx[:, :, None] * gx[:, None, :]
-                       + gy[:, :, None] * gy[:, None, :]).reshape(nt, 9)
+        self._mass_table = (self._wphi[:, None, :] * self.phi[None, :, :]).reshape(9, -1)
+        gx, gy = self._gx, self._gy
+        self._stiff = (gx[:, None, :] * gx[None, :, :]
+                       + gy[:, None, :] * gy[None, :, :]).reshape(9, nt)
         self._build_pattern(tri_dofs)
         self._interior = None  # pattern of the interior block, built on first use
 
     def _build_pattern(self, tri_dofs):
         """Canonical CSR pattern of the Jacobian and the map from the 9*nt
-        local entries (triangle-major, then j, k) to its nonzeros; entries
+        local entries (rows (j, k), then triangles) to its nonzeros; entries
         touching a constrained node map to the spill slot nnz."""
         n = self.n_dofs
-        rows = np.repeat(tri_dofs, 3, axis=1).ravel()
-        cols = np.tile(tri_dofs, (1, 3)).ravel()
+        dofs = tri_dofs.T  # (3, nt)
+        rows = np.repeat(dofs, 3, axis=0).ravel()
+        cols = np.tile(dofs, (3, 1)).ravel()
         free = (rows >= 0) & (cols >= 0)
         keys, slots = np.unique(rows[free] * n + cols[free], return_inverse=True)
         self._nnz = keys.shape[0]
@@ -182,28 +189,25 @@ class Assembler:
         return self._interior
 
     def _fill(self, local):
-        """Jacobian nonzeros summed from the (nt, 9) local entries."""
+        """Jacobian nonzeros summed from the (9, nt) local entries."""
         return np.bincount(self._scatter, weights=local.ravel(),
                            minlength=self._nnz + 1)[: self._nnz]
 
     # -- field evaluation ------------------------------------------------
 
     def _vertex_values(self, u):
+        """Values of the field at the triangles' vertices, (3, nt)."""
         u_ext = np.append(np.asarray(u, dtype=float), 0.0)
-        return u_ext[self.gather]  # (nt, 3)
+        return u_ext[self._flat_gather].reshape(3, -1)
 
-    def _gradient(self, uv):
-        g = self.grads
-        return np.stack([uv[:, 0] * g[:, 0, d] + uv[:, 1] * g[:, 1, d] + uv[:, 2] * g[:, 2, d]
-                         for d in (0, 1)], axis=1)
-
-    def _dot_grads(self, g):
-        """g . grad(phi_k) per triangle and vertex, (nt, 3)."""
-        return self.grads[:, :, 0] * g[:, 0:1] + self.grads[:, :, 1] * g[:, 1:2]
-
-    def gradient(self, u):
-        """Per-triangle constant gradient of the P1 field, (nt, 2)."""
-        return self._gradient(self._vertex_values(u))
+    def _p_laplace_gradient(self, uv, eps):
+        """(gx, gy, a): the per-triangle constant gradient of the P1 field
+        with vertex values uv and its regularized modulus
+        a = sqrt(|g|^2 + eps^2), each (nt,)."""
+        gx, gy = self._gx, self._gy
+        ux = uv[0] * gx[0] + uv[1] * gx[1] + uv[2] * gx[2]
+        uy = uv[0] * gy[0] + uv[1] * gy[1] + uv[2] * gy[2]
+        return ux, uy, np.sqrt(ux * ux + uy * uy + eps ** 2)
 
     def _integral(self, kind, fn, build):
         """build(fn), computed on the first call for this (kind, fn)."""
@@ -218,18 +222,18 @@ class Assembler:
         aq = _at_points(alpha, self.qx, self.qy)
         amin = float(aq.min()) if aq.size else np.inf
         self.observed["alpha_min"] = min(self.observed.get("alpha_min", amin), amin)
-        coef = self.det * (aq @ self.w)
+        coef = self.det * (self.w @ aq)
         # a non-finite value at any point makes its triangle's integral non-finite
         if not (amin > 0.0 and np.isfinite(coef).all()):
             raise ValueError(
                 f"diffusion coefficient must be positive and finite (min {amin:g})")
         # K shares the pattern's index arrays; it never leaves the assembler
-        return sp.csr_matrix((self._fill(coef[:, None] * self._stiff), self._indices,
+        return sp.csr_matrix((self._fill(coef * self._stiff), self._indices,
                               self._indptr), shape=(self.n_dofs, self.n_dofs))
 
     def _load_integral(self, source):
         """integral(f phi_k) per vertex and triangle, (3, nt)."""
-        load = self.det * (self._wphi @ _at_points(source, self.qx, self.qy).T)
+        load = self.det * (self._wphi @ _at_points(source, self.qx, self.qy))
         if not np.isfinite(load).all():
             raise NonFiniteCoefficient("source must be finite")
         return load
@@ -240,17 +244,17 @@ class Assembler:
         """Dual vector of the semilinear operator minus the load."""
         u = np.asarray(u, dtype=float)
         uv = self._vertex_values(u)
-        uq = uv @ self.phi
+        uq = self._phi_t @ uv  # (nq, nt)
 
         bq = _at_points(prob.beta, self.qx, self.qy, uq)
         _require_finite("reaction term beta", bq, uq)
         # vertex-major (3, nt): the triangle-wise scalings run along rows
-        local = self.det * (self._wphi @ bq.T) \
+        local = self.det * (self._wphi @ bq) \
             - self._integral("load", prob.source, self._load_integral)
         if prob.kind != SEMILINEAR:
-            gu = self._gradient(uv)
-            coef = self.area * _modulus(gu, prob.grad_eps)
-            local = coef * self._dot_grads(gu).T + local
+            gx, gy, anorm = self._p_laplace_gradient(uv, prob.grad_eps)
+            coef = self.area * anorm
+            local += (coef * gx) * self._gx + (coef * gy) * self._gy
 
         out = np.bincount(self._flat_gather, weights=local.ravel(),
                           minlength=self.n_dofs + 1)[: self.n_dofs]
@@ -262,26 +266,26 @@ class Assembler:
         """Sparse symmetric linearization at the field w, in canonical CSR;
         with ``interior`` only its block of the interior dofs."""
         wv = self._vertex_values(w)
-        wq = wv @ self.phi
+        wq = self._phi_t @ wv
 
         byq = _at_points(prob.beta_y, self.qx, self.qy, wq)
         _require_finite("reaction slope beta_y", byq, wq)
         if byq.size:
             low = float(byq.min())
             self.observed["beta_y_min"] = min(self.observed.get("beta_y_min", low), low)
-        mass = self.det[:, None] * (byq @ self._mass_table)  # (nt, 9)
+        mass = self.det * (self._mass_table @ byq)  # (9, nt)
 
         if prob.kind == SEMILINEAR:
             data = self._integral("stiffness", prob.alpha, self._stiffness).data \
                 + self._fill(mass)
         else:
-            # d/dg [sqrt(|g|^2+eps^2) g] = a I + (g x g)/a with a the regularized modulus
-            gw = self._gradient(wv)
-            anorm = _modulus(gw, prob.grad_eps)
-            gdotj = self._dot_grads(gw)
-            rank1 = (gdotj[:, :, None] * gdotj[:, None, :]).reshape(-1, 9) / anorm[:, None]
-            stiff = self.area[:, None] * (anorm[:, None] * self._stiff + rank1)
-            data = self._fill(stiff + mass)
+            # d/dg [a g] = a I + (g x g)/a with a = sqrt(|g|^2 + eps^2): the
+            # rank-one part is the outer product of sqrt(area/a) g.grad(phi_j)
+            gx, gy, anorm = self._p_laplace_gradient(wv, prob.grad_eps)
+            v = np.sqrt(self.area / anorm) * (gx * self._gx + gy * self._gy)  # (3, nt)
+            mass += (self.area * anorm) * self._stiff
+            mass += (v[:, None, :] * v[None, :, :]).reshape(9, -1)
+            data = self._fill(mass)
 
         indices, indptr = self._indices, self._indptr
         if interior:

@@ -230,6 +230,21 @@ class TestJacobian:
         mass = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
         np.testing.assert_allclose(jac - stiff, 30 * c ** 2 * mass, rtol=1e-13)
 
+    def test_p_laplace_constant_field(self):
+        # a constant field has zero gradient, so the p-Laplace diffusion
+        # linearizes to grad_eps times the stiffness, plus beta_y(c) = 1 times the mass
+        m = build_rect_mesh(1, 0.5, 0.25)
+        nodes = np.arange(m.n_nodes)
+        dm = DofMap(nodes, nodes, m.n_nodes)  # every node free
+        tris = np.arange(m.n_triangles)
+        c, eps = 0.7, 0.25
+        jac = assemble_jacobian(np.full(m.n_nodes, c), p_laplace_problem(eps), m, tris, dm)
+        stiff = assemble_jacobian(np.zeros(m.n_nodes), zero_problem(), m, tris, dm)
+        gram = Assembler(m, tris, dm).h1_matrix()
+        expected = eps * stiff.toarray() + (gram - stiff).toarray()
+        assert_canonical_csr(jac)
+        np.testing.assert_allclose(jac.toarray(), expected, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
     def test_finite_difference_consistency(self, make_problem):
         # ||(r(w + d v) - r(w))/d - J v|| <= C d, first order in d
