@@ -144,10 +144,11 @@ class NewtonResult:
 # sufficient-decrease constant and smallest step length of the line search
 ARMIJO = 1e-4
 MIN_STEP = 2.0 ** -30
-# a chord step with a held factor is kept only if it cuts the residual norm
-# to this share of its value (Kelley, Iterative Methods for Linear and
-# Nonlinear Equations, 1995, sec. 5.4); at 0.1 the acceptance suite's
-# glued-field check already exceeds its bound
+# a chord step with a held factor that cuts the residual norm to this share
+# of its value leaves the next step on the held factor too (Kelley, Iterative
+# Methods for Linear and Nonlinear Equations, 1995, sec. 5.4); when weaker
+# chord steps were refused, 0.1 took the acceptance suite's glued-field
+# check past its bound
 CHORD_THETA = 0.02
 
 
@@ -164,16 +165,20 @@ def damped_newton(residual_fn, jacobian_fn, factor, norm, x0, tol, max_iter,
     ``held`` keeps a factor across steps and calls (chord Newton): its
     ``solve`` is the solve function of the last linearization it factored,
     or None, and ``refactor(factor, jac)`` replaces it. With a held factor
-    each step first tries the full step it gives and keeps it if the
-    residual norm falls to CHORD_THETA times its value or below; otherwise
-    the step refactors at x and takes the damped Newton step. Chord steps
-    count as iterations. Without ``held`` every step refactors.
+    a step first tries the full step it gives (Kelley 1995, sec. 5.4). A
+    trial that brings the residual norm to CHORD_THETA times its value or
+    below is kept. One that only passes the Armijo test of a full step is
+    kept too, but the next step refactors at the new iterate without a
+    chord trial. Any other trial (a rise, or a NaN) is discarded, and the
+    step refactors at x and takes the damped Newton step. Chord steps count
+    as iterations. Without ``held`` every step refactors.
     """
     x = np.array(x0, dtype=float, copy=True)
     r = residual_fn(x)
     rnorm = norm(r)
     history = [rnorm]
     iters = 0
+    chord = held is not None  # whether the next step first tries the held factor
     # written so that a NaN residual enters the loop and fails the finiteness test
     while not rnorm <= tol:
         if not np.isfinite(rnorm):
@@ -182,12 +187,13 @@ def damped_newton(residual_fn, jacobian_fn, factor, norm, x0, tol, max_iter,
             raise NonConvergence(
                 f"no convergence in {max_iter} Newton iterations "
                 f"(residual {rnorm:.3e}, tol {tol:.3e})", iters, rnorm, history)
-        if held is not None and held.solve is not None:
+        if chord and held.solve is not None:
             x_new = x + held.solve(-r)
             r_new = residual_fn(x_new)
             rnorm_new = norm(r_new)
-            # a NaN fails this test too
-            if rnorm_new <= CHORD_THETA * rnorm:
+            # a NaN fails both tests
+            if rnorm_new <= (1.0 - ARMIJO) * rnorm:
+                chord = rnorm_new <= CHORD_THETA * rnorm
                 x, r, rnorm = x_new, r_new, rnorm_new
                 iters += 1
                 history.append(rnorm)
@@ -211,6 +217,7 @@ def damped_newton(residual_fn, jacobian_fn, factor, norm, x0, tol, max_iter,
                 raise NonConvergence("line search failed to reduce the residual",
                                      iters, rnorm, history)
         x, r, rnorm = x_new, r_new, rnorm_new
+        chord = held is not None
         iters += 1
         history.append(rnorm)
     return NewtonResult(x, iters, rnorm, history)

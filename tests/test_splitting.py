@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddsemi.splitting import (CallableOperator, HilbertSpace, IterationConfig,
+from ddsemi.splitting import (CHORD_THETA, CallableOperator, HilbertSpace, IterationConfig,
                               MatrixOperator, NonConvergence, SingularJacobian,
                               SplittingProblem, damped_newton, invert_operator,
                               monotonicity_probe, newton_invert,
@@ -125,6 +125,47 @@ class TestChordNewton:
         assert held.solve is not stale
         assert abs(result.x[0] + result.x[0] ** 3 - 10.0) <= 1e-12
         assert abs(result.x[0] - 2.0) < 1e-12
+
+    def test_armijo_chord_step_is_kept(self):
+        # x + x^3 = 10 from x = 2.5 with the held slope there: the chord step
+        # lowers the residual about sevenfold, short of CHORD_THETA
+        points = []
+
+        def residual(x):
+            points.append(x[0])
+            return x + x ** 3 - 10.0
+
+        held = _Held(_dense_factor(np.array([[1.0 + 3.0 * 2.5 ** 2]])))
+        refactored_at = []
+
+        def factor(jac):
+            refactored_at.append(len(points))
+            return _dense_factor(jac)
+
+        result = damped_newton(residual, lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
+                               factor, np.linalg.norm, np.array([2.5]), 1e-12, 50,
+                               held=held)
+        assert CHORD_THETA * result.history[0] < result.history[1] < result.history[0]
+        # the chord point is the first iterate, and the next step refactors
+        # there once and takes no second chord trial
+        assert refactored_at.count(2) == 1
+        assert len(refactored_at) == held.refactors
+        # no point the residual saw was thrown away: each one is an iterate
+        assert result.iterations == len(points) - 1
+        assert result.history == [abs(p + p ** 3 - 10.0) for p in points]
+        assert abs(result.x[0] - 2.0) < 1e-12
+
+    def test_nan_chord_step_refactors(self):
+        # the stale slope 0.1 sends x = 0 to 10, where the residual is NaN:
+        # the trial is discarded and Newton refactors at x = 0
+        held = _Held(_dense_factor(np.array([[0.1]])))
+        result = damped_newton(lambda x: np.where(x < 5.0, x - 1.0, np.nan),
+                               lambda x: np.eye(1), _dense_factor, np.linalg.norm,
+                               np.zeros(1), 1e-12, 10, held=held)
+        assert held.refactors == 1
+        assert result.iterations == 1
+        assert result.x[0] == 1.0
+        assert result.history == [1.0, 0.0]
 
 
 class TestSplittingProblem:
