@@ -2,8 +2,9 @@
 
 A SubdomainWorkspace binds (mesh, decomposition, problem, side) and owns
 the assembler, one warm start and one held LU factor per solve kind, the
-Newton and factorization counters and the tangent Jacobian at the last
-linearization trace. Local coefficient vectors are laid out
+Newton and factorization counters, the tangent Jacobian at the last
+linearization trace and the interface block of the last residual a solve
+assembled. Local coefficient vectors are laid out
 [interior | interface]; the trace operator extracts the interface block.
 
 The Steklov-Poincare action of a trace eta is the interface block of the
@@ -266,6 +267,8 @@ class SubdomainWorkspace:
         self._held = {kind: HeldFactor() for kind in
                       ("dirichlet", "neumann", "robin", "correction", "tangent")}
         self._tangent = None  # (nu bytes, jacobian at the constrained solution)
+        # (problem, field, interface block) of the last residual a solve assembled
+        self._last_residual = None
         # built once, so that the assembler's load cache serves every correction solve
         self._correction_problem = replace(problem, source=_no_source)
         self._mass_gamma = None
@@ -299,7 +302,17 @@ class SubdomainWorkspace:
         return InterfaceVector(u.data[self.m:].copy())
 
     def interface_residual(self, u):
-        """Interface block of the assembled residual at a field (dual)."""
+        """Interface block of the assembled residual at a field (dual).
+
+        When u is byte-equal to the field of the last residual a solve of
+        the workspace's problem assembled, that residual's interface block
+        is returned instead of assembling it again; assembly is
+        deterministic, so the two agree bit for bit.
+        """
+        last = self._last_residual
+        if last is not None and last[0] is self.problem \
+                and last[1].tobytes() == u.data.tobytes():
+            return InterfaceVector(last[2].copy(), dual=True)
         r = self.asm.residual(u.data, self.problem)
         return InterfaceVector(r[self.m:], dual=True)
 
@@ -349,6 +362,8 @@ class SubdomainWorkspace:
         def residual(x):
             full[:free] = x
             r = self.asm.residual(full, problem)
+            # the flux functional, before psi or the Robin terms enter
+            self._last_residual = (problem, full.copy(), r[m:].copy())
             if robin_s is not None:
                 r[m:] += robin_s * (mass @ full[m:]) - psi
             elif psi is not None:

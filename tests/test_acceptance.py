@@ -268,8 +268,9 @@ def test_criterion_09_method_comparison():
         nw1, nw2 = workspaces_for("plaplace", 1 / 64)
         nn = run_neumann_neumann(NNConfig(s1=0.02, s2=0.02, stop_tol=1e-11,
                                           max_iter=300), nw1, nw2, ref2)
-        print(f"  nn on p-laplace: {nn.termination}, min error {nn.min_error:.2e}",
-              flush=True)
+        print(f"  nn on p-laplace: {nn.termination}, min error {nn.min_error:.2e}, "
+              f"factorizations {nn.factorizations}, Newton steps "
+              f"{sum(row.newton1 + row.newton2 for row in nn.rows)}", flush=True)
         assert nn.non_converged
 
 

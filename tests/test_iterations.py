@@ -6,6 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from ddsemi import iterations
+from ddsemi.assembly import Assembler
 from ddsemi.iterations import (DNConfig, EquivalenceViolation, IterationRow,
                                MeshMismatch, MethodReport, NNConfig,
                                RelativeFieldError, RRConfig, compute_error,
@@ -66,6 +68,37 @@ class TestComputeError:
             meter.side_norm(1, ref.restrict(decomp, 1).data)
             + meter.side_norm(2, ref.restrict(decomp, 2).data))
         assert abs(meter(u1, u2) - expected) < 1e-13
+
+    @pytest.mark.parametrize("degree", [1, 2, 4])
+    def test_meter_on_workspace_assemblers(self, cubic_setup, monkeypatch, degree):
+        # the workspaces' assemblers serve the meter only at its own degree,
+        # and the errors are those of a meter with assemblers of its own
+        prob, mesh, decomp, ref = cubic_setup
+        ws1 = SubdomainWorkspace(mesh, decomp, prob, 1, degree)
+        ws2 = SubdomainWorkspace(mesh, decomp, prob, 2, degree)
+        own = RelativeFieldError(mesh, decomp, ref)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Assembler(*args)
+
+        monkeypatch.setattr(iterations, "Assembler", counted)
+        shared = RelativeFieldError(mesh, decomp, ref, assemblers=(ws2.asm, ws1.asm))
+        assert len(built) == (0 if degree == 4 else 2)
+        etas = []
+        rep = run_dirichlet_neumann(DNConfig(s=0.36, max_iter=2), ws1, ws2, ref,
+                                    on_step=lambda n, eta: etas.append(eta))
+        assert len(built) == (0 if degree == 4 else 4)
+        for a, b in zip(shared._h1, own._h1):
+            assert a.data.tobytes() == b.data.tobytes()
+        rng = np.random.default_rng(1)
+        u1, u2 = ref.restrict(decomp, 1), ref.restrict(decomp, 2)
+        u1.data = u1.data + 0.1 * rng.standard_normal(len(u1.data))
+        assert shared(u1, u2) == own(u1, u2)
+        # the last row pairs side 1's constrained solve at the trace with side 2's Neumann field
+        assert rep.errors[-1] == own(ws1.dirichlet_solve(InterfaceVector(etas[-1])),
+                                     ws2.last_neumann)
 
     def test_mesh_mismatch(self, cubic_setup):
         prob, mesh, decomp, ref = cubic_setup
@@ -438,3 +471,67 @@ class TestFactorReuse:
         assert rep.final_error <= 1e-8
         assert 0 < rep.factorizations < steps
         assert rep.summary()["factorizations"] == rep.factorizations
+
+
+class TestFluxReuse:
+    """interface_residual serves the flux functional that the solve at the
+    same field has just assembled."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Per interface_residual call: (workspace, field, flux, number of
+        residual assemblies inside the call)."""
+        calls, inside = [], []
+        residual = Assembler.residual
+        interface_residual = SubdomainWorkspace.interface_residual
+
+        def counted(self, u, prob):
+            if inside:
+                inside[-1] += 1
+            return residual(self, u, prob)
+
+        def spied(self, u):
+            inside.append(0)
+            try:
+                out = interface_residual(self, u)
+            finally:
+                assembled = inside.pop()
+            calls.append((self, u.data.copy(), out.data.copy(), assembled))
+            return out
+
+        monkeypatch.setattr(Assembler, "residual", counted)
+        monkeypatch.setattr(SubdomainWorkspace, "interface_residual", spied)
+        return calls
+
+    @staticmethod
+    def assert_fresh(calls, prob, mesh, decomp):
+        for ws, u, flux, _ in calls:
+            fresh = Assembler(mesh, decomp.side_triangles(ws.side), decomp.side_dofmap(ws.side))
+            assert flux.tobytes() == fresh.residual(u, prob)[ws.m:].tobytes()
+
+    @pytest.mark.parametrize("method", ["dn", "rr"])
+    def test_runs_assemble_no_flux(self, cubic_setup, monkeypatch, method):
+        prob, mesh, decomp, ref = cubic_setup
+        ws1, ws2 = fresh_workspaces(prob, mesh, decomp)
+        calls = self.spy(monkeypatch)
+        if method == "dn":
+            rep = run_dirichlet_neumann(DNConfig(s=0.36, stop_tol=1e-12), ws1, ws2, ref)
+        else:
+            rep = run_robin_robin(RRConfig(s=46, stop_tol=1e-12, max_iter=800), ws1, ws2, ref)
+        assert rep.converged
+        assert len(calls) >= 2 * len(rep.rows)
+        assert all(assembled == 0 for *_, assembled in calls)
+        self.assert_fresh(calls, prob, mesh, decomp)
+
+    def test_correction_solve_assembles(self, cubic_setup, monkeypatch):
+        # the correction problem has no source, so its residual is not the flux
+        prob, mesh, decomp, _ = cubic_setup
+        ws, _ = fresh_workspaces(prob, mesh, decomp)
+        calls = self.spy(monkeypatch)
+        u = ws.dirichlet_solve(InterfaceVector(np.full(decomp.n_interface, 0.1)))
+        rho = ws.interface_residual(u)
+        w = ws.neumann_correction_solve(rho)
+        ws.interface_residual(w)
+        ws.interface_residual(u)
+        assert [assembled for *_, assembled in calls] == [0, 1, 1]
+        self.assert_fresh(calls, prob, mesh, decomp)
