@@ -15,9 +15,7 @@ load, and the Jacobian is K plus the reaction mass. The p-Laplace
 diffusion depends on the field and is integrated per triangle on every
 call: its local residual entries are added to the reaction's, and its
 local Jacobian is a_eps times the element stiffness plus a rank-one term.
-Per-triangle data is held component-major, (entries, triangles), so each
-kernel works on contiguous rows. Accumulation order is fixed, so repeated
-assembly is bitwise reproducible.
+Accumulation order is fixed, so repeated assembly is bitwise reproducible.
 """
 
 from dataclasses import dataclass
@@ -102,10 +100,11 @@ class Assembler:
     (``beta_y_min``) seen at the quadrature points of this assembler's
     residual and Jacobian calls.
 
-    Per-triangle arrays put the triangle last: the basis gradients
-    ``_gx``, ``_gy`` are (3, nt), the element stiffness ``_stiff`` (9, nt)
-    with rows (j, k), the quadrature points ``qx``, ``qy`` (nq, nt), and the
-    local entries are scattered in that (j, k)-then-triangle order.
+    Per-triangle arrays put the triangle last, so each kernel runs along
+    contiguous rows: the basis gradients ``_gx``, ``_gy`` are (3, nt), the
+    element stiffness ``_stiff`` (9, nt) with rows (j, k), the quadrature
+    points ``qx``, ``qy`` (nq, nt), and the local Jacobian entries are
+    scattered in that (j, k)-then-triangle order.
     """
 
     def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
@@ -124,9 +123,6 @@ class Assembler:
         self.area = 0.5 * self.det
 
         nt = self.tris.shape[0]
-        # Per-triangle data is component-major, so every kernel runs along
-        # contiguous rows of length nt: the basis gradients as two (3, nt)
-        # arrays, the quadrature points as (nq, nt).
         self._gx = np.empty((3, nt))
         self._gy = np.empty((3, nt))
         for i in range(3):
@@ -178,11 +174,13 @@ class Assembler:
     def _interior_pattern(self):
         """(keep, indices, indptr) of the block of the m interior dofs:
         ``keep`` lists the Jacobian's nonzeros in rows and columns below m,
-        in their CSR order, which is the block's."""
+        in their CSR order, which is the block's; it stays a native index
+        array, which numpy gathers with about a quarter of the time an
+        int32 one takes."""
         if self._interior is None:
             m = self.dofmap.n_interior
             rows = np.repeat(np.arange(self.n_dofs), np.diff(self._indptr))
-            keep = np.flatnonzero((rows < m) & (self._indices < m)).astype(np.int32)
+            keep = np.flatnonzero((rows < m) & (self._indices < m))
             indptr = np.zeros(m + 1, dtype=np.int32)
             np.cumsum(np.bincount(rows[keep], minlength=m), out=indptr[1:])
             self._interior = (keep, self._indices[keep], indptr)

