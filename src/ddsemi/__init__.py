@@ -30,7 +30,7 @@ from .splitting import (CallableOperator, HilbertSpace, IterationConfig,
                         NonConvergence, SingularJacobian, SplittingProblem,
                         invert_operator, monotonicity_probe, newton_invert,
                         splitting_iterate)
-from .subdomain import (InterfaceVector, NewtonDivergence, SteklovOperator,
-                        SubdomainWorkspace, sparse_newton)
+from .subdomain import (InterfaceVector, SteklovOperator, SubdomainWorkspace,
+                        sparse_newton)
 
 __version__ = "0.1.0"

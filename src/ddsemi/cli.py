@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -25,7 +24,7 @@ import numpy as np
 from .iterations import (DNConfig, NNConfig, RRConfig, run_dirichlet_neumann,
                          run_neumann_neumann, run_robin_robin)
 from .mesh import build_rect_mesh, decompose_staircase, decompose_vertical
-from .oracle import solve_monolithic
+from .oracle import atomic_write, solve_monolithic
 from .problems import cubic_reaction_problem, p_laplace_problem
 from .subdomain import SubdomainWorkspace
 
@@ -188,23 +187,16 @@ def make_decomposition(mesh, spec):
     raise ConfigError(f"unknown interface spec {spec!r} (vertical:X or staircase:...)")
 
 
-def _atomic_write(path, text):
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
-    with os.fdopen(fd, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _write_report_csv(report, path, timing):
     if not timing:
         report = replace(report, rows=[replace(row, seconds=0.0) for row in report.rows])
     buf = io.StringIO()
     report.to_csv(buf)
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def _dump_json(obj, path):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 class Experiment:
@@ -366,8 +358,8 @@ def cmd_compare(cfg):
             else:
                 cells.append("")
         lines.append(",".join(cells))
-    _atomic_write(os.path.join(out, f"compare_h{_h_tag(h)}.csv"),
-                  "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out, f"compare_h{_h_tag(h)}.csv"),
+                 "\n".join(lines) + "\n")
     _dump_json(summaries, os.path.join(out, "summary.json"))
     return 0
 
@@ -416,7 +408,7 @@ def cmd_sweep(cfg):
             "" if c["final_error"] is None else repr(float(c["final_error"])),
             c["status"],
         ]))
-    _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
 
     reached = [c for c in cells if c["iterations_to_tol"] is not None]
     best = min(reached, key=lambda c: (c["iterations_to_tol"], c["s"])) if reached else None

@@ -98,14 +98,13 @@ class NNConfig:
     eta0: InterfaceVector = None
     max_iter: int = 200
     stop_tol: float = 1e-10
-    stagnation_window: int = 20
 
     def __post_init__(self):
         if not (self.s1 > 0 and self.s2 > 0):
             raise ValueError("weights s1, s2 must be positive")
         if not self.stop_tol > 0:
             raise ValueError("stop_tol must be positive")
-        if self.max_iter < 1 or self.stagnation_window < 1:
+        if self.max_iter < 1:
             raise ValueError("iteration limits must be at least 1")
 
 
@@ -435,6 +434,8 @@ def run_robin_robin(cfg, ws1, ws2, reference=None, on_step=None):
 
 # a step improves the best metric only if it lowers it by this relative amount
 STAGNATION_RTOL = 1e-3
+# steps without such an improvement after which NN ends as "stagnated"
+STAGNATION_WINDOW = 20
 
 
 def run_neumann_neumann(cfg, ws1, ws2, reference=None, on_step=None):
@@ -445,7 +446,7 @@ def run_neumann_neumann(cfg, ws1, ws2, reference=None, on_step=None):
     side with that residual as interface data, and subtracts the weighted
     correction traces. Stagnation (no relative improvement by
     STAGNATION_RTOL of the best error, or of the best residual without a
-    reference, over ``stagnation_window`` consecutive steps while above
+    reference, over STAGNATION_WINDOW consecutive steps while above
     stop_tol) ends the run as "stagnated".
     """
     def steps(eta, record):
@@ -472,7 +473,7 @@ def run_neumann_neumann(cfg, ws1, ws2, reference=None, on_step=None):
             return constrained(n)
 
         def stalled():
-            return streak >= cfg.stagnation_window and best > cfg.stop_tol
+            return streak >= STAGNATION_WINDOW and best > cfg.stop_tol
 
         return lambda: constrained(0), step, stalled
 

@@ -11,6 +11,8 @@ labelled triangles.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 class NonIntegerSubdivision(ValueError):
@@ -206,32 +208,36 @@ class Decomposition:
         return out
 
 
-def _mesh_edges(mesh):
-    """Map sorted edge tuple -> list of adjacent triangle indices."""
-    edges = {}
-    tris = mesh.triangles
-    for t in range(tris.shape[0]):
-        a, b, c = tris[t]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edges.setdefault(key, []).append(t)
-    return edges
+def mesh_global_dofmap(mesh):
+    """Dof map over all free nodes of the mesh, with no interface block."""
+    return _make_dofmap(mesh.n_nodes, mesh.free_nodes, np.empty(0, dtype=np.int64))
+
+
+def _interior_edges(mesh):
+    """Interior edges as (E, 2) sorted node pairs and the (E, 2) triangles on
+    their two sides: in a conforming mesh, the twice-seen triangle edge keys."""
+    pairs = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = pairs[:, 0] * mesh.n_nodes + pairs[:, 1]
+    order = np.argsort(keys, kind="stable")
+    twin = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    first, second = order[twin], order[twin + 1]
+    return pairs[first], np.column_stack([first // 3, second // 3])
 
 
 def _build_decomposition(mesh, labels):
     """Assemble interface structure and dof maps from triangle labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
     if not set(np.unique(labels)) == {1, 2}:
         raise DisconnectedPath("decomposition must use both labels 1 and 2")
 
-    edges = _mesh_edges(mesh)
-    cut = [e for e, ts in edges.items() if len(ts) == 2 and labels[ts[0]] != labels[ts[1]]]
-    if not cut:
+    edges, sides = _interior_edges(mesh)
+    cut = edges[labels[sides[:, 0]] != labels[sides[:, 1]]]
+    if cut.shape[0] == 0:
         raise DisconnectedPath("subdomains share no interface edge")
 
     # Order interface nodes by walking the path from one boundary endpoint.
     adj = {}
-    for a, b in cut:
+    for a, b in cut.tolist():
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
@@ -252,29 +258,21 @@ def _build_decomposition(mesh, labels):
     interface_nodes = np.array([n for n in path if not on_boundary[n]], dtype=np.int64)
     if interface_nodes.size == 0:
         raise DisconnectedPath("interface has no interior node")
-    interface_edges = np.array([sorted((path[i], path[i + 1])) for i in range(len(path) - 1)],
-                               dtype=np.int64)
+    interface_edges = np.sort(np.column_stack([path[:-1], path[1:]]), axis=1)
 
-    iface_set = set(interface_nodes.tolist())
+    interior = ~on_boundary
+    interior[interface_nodes] = False
+    side_tris = tuple(np.flatnonzero(labels == side) for side in (1, 2))
     side_maps = []
-    side_tris = []
-    for side in (1, 2):
-        tsel = np.nonzero(labels == side)[0]
-        touched = np.unique(mesh.triangles[tsel])
-        interior = np.array(sorted(n for n in touched
-                                   if not on_boundary[n] and n not in iface_set), dtype=np.int64)
-        side_maps.append(_make_dofmap(mesh.n_nodes, interior, interface_nodes))
-        tsel = tsel.copy()
-        tsel.setflags(write=False)
-        side_tris.append(tsel)
-
-    gmap = _make_dofmap(mesh.n_nodes, mesh.free_nodes, np.empty(0, dtype=np.int64))
-    labels = labels.copy()
-    labels.setflags(write=False)
-    interface_nodes.setflags(write=False)
-    interface_edges.setflags(write=False)
+    for tsel in side_tris:
+        touched = np.zeros(mesh.n_nodes, dtype=bool)
+        touched[mesh.triangles[tsel]] = True
+        side_maps.append(_make_dofmap(mesh.n_nodes, np.flatnonzero(touched & interior),
+                                      interface_nodes))
+    for array in (labels, interface_nodes, interface_edges) + side_tris:
+        array.setflags(write=False)
     return Decomposition(mesh, labels, interface_nodes, interface_edges,
-                         tuple(side_maps), tuple(side_tris), gmap)
+                         tuple(side_maps), side_tris, mesh_global_dofmap(mesh))
 
 
 def decompose_vertical(mesh, x_cut):
@@ -294,8 +292,9 @@ def decompose_staircase(mesh, polyline):
     """Split along an axis-aligned polyline of lattice points.
 
     The polyline runs from one boundary point to another along mesh lines;
-    triangles on each side are labelled by flood fill, with label 1 given
-    to the component containing the bottom-left triangle.
+    the two sides are the connected components of the triangles' edge
+    adjacency graph with the polyline's edges removed, and label 1 goes to
+    the component containing the bottom-left triangle.
     """
     corners = [mesh.node_id(x, y) for x, y in polyline]
     if len(corners) < 2:
@@ -326,35 +325,26 @@ def decompose_staircase(mesh, polyline):
     if any(on_boundary[n] for n in nodes[1:-1]):
         raise DisconnectedPath("polyline interior must stay off the outer boundary")
 
-    cut = {tuple(sorted(e)) for e in zip(nodes[:-1], nodes[1:])}
-    edges = _mesh_edges(mesh)
-    missing = [e for e in cut if e not in edges]
-    if missing:
-        raise PathNotOnGrid(f"polyline edge {missing[0]} is not a mesh edge")
+    cut = np.sort(np.column_stack([nodes[:-1], nodes[1:]]), axis=1)
+    cut_keys = cut[:, 0] * mesh.n_nodes + cut[:, 1]
+    edges, sides = _interior_edges(mesh)
+    edge_keys = edges[:, 0] * mesh.n_nodes + edges[:, 1]
+    # a step between two boundary nodes may be a boundary edge, which the
+    # table of interior edges lacks; it separates nothing and fails below
+    missing = cut[~np.isin(cut_keys, edge_keys) & ~on_boundary[cut].all(axis=1)]
+    if missing.size:
+        raise PathNotOnGrid(f"polyline edge {tuple(missing[0].tolist())} is not a mesh edge")
 
-    # Flood fill the triangle adjacency graph with the cut edges removed.
-    labels = np.zeros(mesh.n_triangles, dtype=np.int64)
-    neighbours = [[] for _ in range(mesh.n_triangles)]
-    for e, ts in edges.items():
-        if len(ts) == 2 and e not in cut:
-            neighbours[ts[0]].append(ts[1])
-            neighbours[ts[1]].append(ts[0])
-    for seed, side in ((0, 1), (None, 2)):
-        if seed is None:
-            rest = np.nonzero(labels == 0)[0]
-            if rest.size == 0:
-                raise DisconnectedPath("polyline does not separate the domain")
-            seed = int(rest[0])
-        stack = [seed]
-        labels[seed] = side
-        while stack:
-            t = stack.pop()
-            for n in neighbours[t]:
-                if labels[n] == 0:
-                    labels[n] = side
-                    stack.append(n)
-    if np.any(labels == 0):
+    # Components of the triangle adjacency graph with the cut edges removed.
+    kept = sides[~np.isin(edge_keys, cut_keys)]
+    graph = sp.csr_matrix((np.ones(kept.shape[0]), (kept[:, 0], kept[:, 1])),
+                          shape=(mesh.n_triangles, mesh.n_triangles))
+    count, component = connected_components(graph, directed=False)
+    if count == 1:
+        raise DisconnectedPath("polyline does not separate the domain")
+    if count > 2:
         raise DisconnectedPath("polyline splits the domain into more than two parts")
+    labels = np.where(component == component[0], 1, 2)
     return _build_decomposition(mesh, labels)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DEFAULT_DEGREE, Assembler, FieldVector
+from .mesh import mesh_global_dofmap
 from .problems import P_LAPLACE
 from .quadrature import quadrature_rule
 from .subdomain import sparse_newton
@@ -69,21 +70,26 @@ def _cache_read(path, key, n):
         return None
 
 
+def atomic_write(path, data):
+    """Write text or bytes to path through a temporary file in the same
+    directory and one os.replace; the temporary file is removed when any step
+    fails."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cache_write(path, key, meta, data):
     header = dict(meta)
     header["key"] = key
     header["n"] = int(data.shape[0])
-    blob = json.dumps(header, sort_keys=True).encode() + b"\n" + \
-        np.ascontiguousarray(data, dtype="<f8").tobytes()
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, json.dumps(header, sort_keys=True).encode() + b"\n"
+                 + np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
 def solve_monolithic(prob, mesh, degree=DEFAULT_DEGREE, newton_rtol=1e-12,
@@ -118,13 +124,6 @@ def solve_monolithic(prob, mesh, degree=DEFAULT_DEGREE, newton_rtol=1e-12,
         _cache_write(path, key, {"width": mesh.width, "height": mesh.height,
                                  "h": mesh.h, "problem": prob.name}, u)
     return MonolithicSolution(FieldVector(u, dofmap.n_dofs), iters, rnorm)
-
-
-def mesh_global_dofmap(mesh):
-    """Dof map over all non-boundary nodes (no interface partition)."""
-    from .mesh import _make_dofmap
-
-    return _make_dofmap(mesh.n_nodes, mesh.free_nodes, np.empty(0, dtype=np.int64))
 
 
 class DenseOracle:

@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu as superlu
 
 from .assembly import DEFAULT_DEGREE, Assembler, FieldVector, interface_mass_matrix
-from .splitting import MonotoneOperator, NonConvergence, SingularJacobian, damped_newton
+from .splitting import MonotoneOperator, SingularJacobian, damped_newton
 
 # Every Jacobian factored here is symmetric, so a minimum-degree ordering of
 # the pattern of A^T + A keeps the LU fill lower than SuperLU's COLAMD default.
@@ -42,10 +42,6 @@ ORDERING = "MMD_AT_PLUS_A"
 BAND_MAX = 64
 
 _gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
-
-
-# importable under this name too: one failure class covers every Newton solve
-NewtonDivergence = NonConvergence
 
 
 @dataclass
@@ -123,6 +119,11 @@ class BandOrder:
         """Whether a has the pattern this order was computed from."""
         a = a.tocsr()
         return np.array_equal(self.indptr, a.indptr) and np.array_equal(self.indices, a.indices)
+
+
+def _order_for(jac, order):
+    """order when it fits jac's pattern, else jac's own BandOrder."""
+    return order if order is not None and order.fits(jac) else BandOrder(jac)
 
 
 class BandedLU:
@@ -203,8 +204,7 @@ class HeldFactor:
             self.solve = None
             if not self.order.banded and _malloc_trim is not None:
                 _malloc_trim(0)
-        if self.order is None or not self.order.fits(jac):
-            self.order = BandOrder(jac)
+        self.order = _order_for(jac, self.order)
         self.solve = factor(jac, self.order)
         self.factorizations += 1
         return self.solve
@@ -223,7 +223,8 @@ def _at_rounding_floor(jac, u, rnorm):
 def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held=None):
     """Damped Newton with sparse LU solves, Euclidean merit function and
     Armijo backtracking; with a HeldFactor ``held``, chord steps reuse its
-    factor (see splitting.damped_newton).
+    factor (see splitting.damped_newton). Without one, every step refactors
+    on one BandOrder, rebuilt only when the Jacobian's pattern changes.
 
     Returns (u, iterations, residual_norm). Raises SingularJacobian when a
     factorization fails and NonConvergence (with history) otherwise. A
@@ -232,7 +233,14 @@ def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held=None):
     in diverging outer iterations) returns the floor-accurate solution
     instead of raising.
     """
-    result = damped_newton(residual_fn, jacobian_fn, _factor,
+    order = None
+
+    def factor(jac):
+        nonlocal order
+        order = _order_for(jac, order)
+        return _factor(jac, order)
+
+    result = damped_newton(residual_fn, jacobian_fn, _factor if held is not None else factor,
                            lambda r: float(np.linalg.norm(r)), u0, tol, max_iter,
                            at_floor=_at_rounding_floor, held=held)
     return result.x, result.iterations, result.residual

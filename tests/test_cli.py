@@ -8,6 +8,7 @@ from ddsemi.cli import (DEFAULTS, ConfigError, _write_report_csv, load_config, m
                         make_decomposition, make_problem, parse_h, validate_config)
 from ddsemi.iterations import IterationRow, MethodReport
 from ddsemi.mesh import build_rect_mesh
+from ddsemi.oracle import atomic_write
 
 
 def run_cli(*argv):
@@ -110,6 +111,14 @@ class TestRunCommand:
         assert report.rows is rows
         seconds = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
         assert all(float(x) == 0.0 for x in seconds)
+
+    @pytest.mark.parametrize("data", ["{}\n", b"\x00\x01"])
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, data):
+        # replacing a directory fails after the temporary file is written
+        (tmp_path / "summary.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            atomic_write(str(tmp_path / "summary.json"), data)
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

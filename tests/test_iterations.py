@@ -382,8 +382,7 @@ class TestNeumannNeumann:
 
         ws1, ws2 = fresh_workspaces(prob, mesh, decomp)
         seen = []
-        cfg = NNConfig(s1=s1, s2=s2, max_iter=10, stop_tol=1e-300,
-                       stagnation_window=50)
+        cfg = NNConfig(s1=s1, s2=s2, max_iter=10, stop_tol=1e-300)
         run_neumann_neumann(cfg, ws1, ws2, on_step=lambda n, v: seen.append(v))
         assert len(seen) == 11
         for got, want in zip(seen, expected):

@@ -187,9 +187,10 @@ def monotone_staircases(draw):
     return [(i * STAIR_H, j * STAIR_H) for i, j in points]
 
 
-def _components(mesh, triangles):
-    """Number of edge-connected components of a set of triangles."""
-    parent = {t: t for t in triangles.tolist()}
+def _roots(mesh, triangles, cut=frozenset()):
+    """Union-find root of each triangle of a list, joining triangles that
+    share two nodes unless those two nodes form an edge in ``cut``."""
+    parent = {t: t for t in triangles}
 
     def root(t):
         while parent[t] != t:
@@ -197,12 +198,18 @@ def _components(mesh, triangles):
         return t
 
     first_owner = {}
-    for t in parent:
-        a, b, c = mesh.triangles[t]
+    for t in triangles:
+        a, b, c = mesh.triangles[t].tolist()
         for u, v in ((a, b), (b, c), (c, a)):
-            other = first_owner.setdefault((min(u, v), max(u, v)), t)
-            parent[root(other)] = root(t)
-    return len({root(t) for t in parent})
+            edge = (min(u, v), max(u, v))
+            if edge not in cut:
+                parent[root(first_owner.setdefault(edge, t))] = root(t)
+    return [root(t) for t in triangles]
+
+
+def _components(mesh, triangles):
+    """Number of edge-connected components of a set of triangles."""
+    return len(set(_roots(mesh, triangles.tolist())))
 
 
 def _lattice_nodes(mesh, path):
@@ -237,6 +244,17 @@ class TestRandomStaircases:
         steps = np.abs(np.diff(self.mesh.nodes[d.interface_nodes], axis=0)).sum(axis=1)
         np.testing.assert_allclose(steps, STAIR_H)
         assert d.n_interface == len(set(_lattice_nodes(self.mesh, path))) - 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(path=monotone_staircases())
+    def test_labels_match_brute_force_components(self, path):
+        d = decompose_staircase(self.mesh, path)
+        nodes = _lattice_nodes(self.mesh, path)
+        cut = {(min(u, v), max(u, v)) for u, v in zip(nodes[:-1], nodes[1:]) if u != v}
+        roots = _roots(self.mesh, list(range(self.mesh.n_triangles)), cut)
+        expected = [1 if r == roots[0] else 2 for r in roots]
+        assert d.subdomain_of_triangle.tolist() == expected
+        assert sorted(map(tuple, d.interface_edges.tolist())) == sorted(cut)
 
     @settings(max_examples=40, deadline=None)
     @given(path=monotone_staircases(), seed=st.integers(0, 2 ** 32 - 1))

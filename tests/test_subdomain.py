@@ -11,9 +11,9 @@ from ddsemi.mesh import build_rect_mesh, decompose_staircase, decompose_vertical
 from ddsemi.oracle import dense_brute_force, mesh_global_dofmap, solve_monolithic
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
-from ddsemi.splitting import SingularJacobian, SplittingProblem, monotonicity_probe
-from ddsemi.subdomain import (InterfaceVector, NewtonDivergence,
-                              SteklovOperator, SubdomainWorkspace)
+from ddsemi.splitting import (NonConvergence, SingularJacobian, SplittingProblem,
+                              monotonicity_probe)
+from ddsemi.subdomain import InterfaceVector, SteklovOperator, SubdomainWorkspace
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +332,7 @@ class TestWorkspaceState:
         mesh = build_rect_mesh(2, 1, 0.5)
         decomp = decompose_vertical(mesh, 1.0)
         ws = SubdomainWorkspace(mesh, decomp, prob, 1, newton_rtol=1e-30, newton_max=2)
-        with pytest.raises(NewtonDivergence) as info:
+        with pytest.raises(NonConvergence) as info:
             ws.dirichlet_solve(InterfaceVector(np.full(decomp.n_interface, 5.0)))
         assert len(info.value.history) >= 1
 
@@ -586,3 +586,22 @@ class TestFactorization:
         np.testing.assert_allclose(held.solve(b), np.linalg.solve(penta.toarray(), b),
                                    rtol=1e-14)
         assert held.factorizations == 3
+
+    def test_reference_solve_builds_one_order(self, monkeypatch):
+        # every Newton step of the reference solve refactors one fixed pattern
+        builds = []
+
+        class CountedOrder(subdomain.BandOrder):
+            def __init__(self, a):
+                builds.append(a.shape)
+                super().__init__(a)
+
+        monkeypatch.setattr(subdomain, "BandOrder", CountedOrder)
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 8)
+        ref = solve_monolithic(prob, mesh)
+        assert ref.newton_iterations > 1
+        assert len(builds) == 1
+        # an order built afresh for each step gives the same field bit for bit
+        monkeypatch.setattr(subdomain, "_order_for", lambda jac, order: CountedOrder(jac))
+        assert solve_monolithic(prob, mesh).field.data.tobytes() == ref.field.data.tobytes()
+        assert len(builds) == 1 + ref.newton_iterations
