@@ -4,7 +4,7 @@ All three methods iterate on the interface trace of a two-subdomain
 decomposition and report per-iteration field errors against a monolithic
 reference, the interface dual residual (coefficient 2-norm of the summed
 flux functionals), wall time, and subdomain Newton counts; a report also
-counts the sparse LU factorizations of the whole run.
+counts the sparse factorizations of the whole run.
 
 The Dirichlet-Neumann method is available in two algebraically equivalent
 formulations: the subdomain form (alternating constrained and coupled
@@ -124,7 +124,7 @@ class MethodReport:
 
     Row n pairs the side-1 constrained solve at the current trace with the
     side-2 field produced by the step (row 0 pairs the two constrained
-    solves at the initial trace). ``factorizations`` counts the sparse LU
+    solves at the initial trace). ``factorizations`` counts the sparse
     factorizations of both workspaces during the run.
     """
 

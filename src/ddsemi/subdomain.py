@@ -1,7 +1,7 @@
 """Subdomain solves and discrete Steklov-Poincare operators.
 
 A SubdomainWorkspace binds (mesh, decomposition, problem, side) and owns
-the assembler, one warm start and one held LU factor per solve kind, the
+the assembler, one warm start and one held factor per solve kind, the
 Newton and factorization counters, the tangent Jacobian at the last
 linearization trace and the interface block of the last residual a solve
 assembled. Local coefficient vectors are laid out
@@ -11,16 +11,21 @@ The Steklov-Poincare action of a trace eta is the interface block of the
 assembled residual at the constrained subdomain solution; its inverse is a
 coupled solve over interior and interface unknowns. All four nonlinear
 solves run one Newton kernel, which reuses the held factor of its kind
-across Newton steps and solves (chord Newton), and every sparse LU goes
-through one helper and one factorization entry point, ``splu``: LAPACK's
-banded LU on a reverse Cuthill-McKee order for narrow patterns, SuperLU
-for wide ones.
+across Newton steps and solves (chord Newton), and every sparse
+factorization goes through one helper and one entry point, ``splu``:
+LAPACK's banded Cholesky on a reverse Cuthill-McKee order for narrow
+symmetric positive definite matrices, SuperLU for all others.
 """
 
 import ctypes
+import glob
+import inspect
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -29,19 +34,34 @@ from scipy.sparse.linalg import splu as superlu
 from .assembly import DEFAULT_DEGREE, Assembler, FieldVector, interface_mass_matrix
 from .splitting import MonotoneOperator, SingularJacobian, damped_newton
 
-# Every Jacobian factored here is symmetric, so a minimum-degree ordering of
-# the pattern of A^T + A keeps the LU fill lower than SuperLU's COLAMD default.
+# Every Jacobian factored here has a symmetric pattern, so a minimum-degree
+# ordering of the pattern of A^T + A keeps SuperLU's fill lower than its
+# COLAMD default does.
 ORDERING = "MMD_AT_PLUS_A"
-# Patterns whose reverse Cuthill-McKee half-bandwidth is at most this are
-# factored by LAPACK's banded LU, wider ones by SuperLU. NN on the p-Laplace
-# problem, 2-core VM, SuperLU against banded: half-bandwidth 48 (h = 1/32,
-# 12 outer steps) 3.0 -> 1.5 s with OpenBLAS's default two threads and
-# 2.7 -> 1.7 s with one; 96 (h = 1/64, 8 outer steps) 15.5 -> 25.5 s with
-# two threads, 14.7 -> 11.0 s with one, and peak RSS 144 -> 218 MB. Band
-# storage grows as (3k + 1) n, so h = 1/48 (k = 72, +28 MB) stays on SuperLU.
-BAND_MAX = 64
+# Symmetric positive definite matrices whose reverse Cuthill-McKee
+# half-bandwidth k is at most this are factored by LAPACK's banded Cholesky,
+# all others by SuperLU. 2-core VM, one factorization of a p-Laplace
+# subdomain Jacobian on one BLAS thread: k = 96 (h = 1/64) 12 ms and (k + 1) n
+# = 1.18M band entries against SuperLU's 38 ms and 0.73M entries; criterion
+# 9's NN run (h = 1/64, 1270 factorizations) 85-100 s -> 35-36 s, peak RSS
+# 137 -> 148 MB. The banded calls run on one OpenBLAS thread
+# (``_one_blas_thread``): left on OpenBLAS's default two, that NN run takes
+# 118 s. At k = 192 (h = 1/128) ``pbtrf`` takes 145 ms against SuperLU's 244
+# ms, but its 9.4M band entries are 2.6 times SuperLU's fill, so h = 1/128
+# stays on SuperLU.
+BAND_MAX = 128
+# Bands up to this half-bandwidth are stored and factored as their upper
+# triangle, wider ones as their lower (one BLAS thread, 2-core VM, the
+# OpenBLAS that scipy 1.17 bundles). ``pbtrs`` on a lower factor runs the
+# transposed lower band solve, 2.5 times slower than the other triangular
+# band solves at k = 36 (65 against 21-26 us), so it is 12-45% slower than on
+# an upper factor up to k = 64. ``pbtrf`` on the lower triangle is 5-12%
+# faster up to k = 64 and, blocked differently above, 1.5 times faster from
+# k = 65 on (k = 96: 10.3 against 15.5 ms), where the two solves cost about
+# the same.
+UPPER_MAX = 64
 
-_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 @dataclass
@@ -93,12 +113,15 @@ class BandOrder:
     """Symbolic part of a factorization, computed once per sparsity pattern.
 
     ``perm`` is the reverse Cuthill-McKee order of the pattern of the square
-    sparse matrix a (Cuthill & McKee 1969; George & Liu 1981, ch. 4), ``k`` the
-    half-bandwidth of a on that order and, when ``banded`` (k <= BAND_MAX),
-    ``scatter`` the position of each stored entry of a in LAPACK band
-    storage: A[i, j] at ab[2k + i - j, j] of a (3k + 1, n) array in Fortran
-    order, whose top k rows take the fill of partial pivoting. Positions
-    refer to a's entries in CSR form.
+    sparse matrix a (Cuthill & McKee 1969; George & Liu 1981, ch. 4) and
+    ``k`` the half-bandwidth of a on that order. When ``banded``
+    (k <= BAND_MAX), ``upper`` (k <= UPPER_MAX) picks the triangle that
+    LAPACK's band storage holds, ``entries`` lists the entries of a in that
+    triangle on that order and ``scatter`` their positions in a (k + 1, n)
+    array in Fortran order: A[i, j] at ab[k + i - j, j] (upper) or
+    ab[i - j, j] (lower). ``transpose`` gives, for each entry of a, the
+    position of its mirror entry, or is None when the pattern is not
+    structurally symmetric. Positions refer to a's entries in CSR form.
     """
 
     def __init__(self, a):
@@ -108,12 +131,22 @@ class BandOrder:
         self.perm = reverse_cuthill_mckee(a, symmetric_mode=True)
         rank = np.empty(n, dtype=np.intp)
         rank[self.perm] = np.arange(n)
-        rows = rank[np.repeat(np.arange(n), np.diff(a.indptr))]
-        cols = rank[a.indices]
-        self.k = int(np.abs(rows - cols).max(initial=0))
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        cols = a.indices
+        prow, pcol = rank[rows], rank[cols]
+        self.k = int(np.abs(prow - pcol).max(initial=0))
         self.banded = self.k <= BAND_MAX
-        self.scatter = (2 * self.k + rows - cols) + (3 * self.k + 1) * cols \
-            if self.banded else None
+        self.upper = self.k <= UPPER_MAX
+        self.entries = self.scatter = self.transpose = None
+        if self.banded:
+            self.entries = np.flatnonzero(prow <= pcol if self.upper else prow >= pcol)
+            self.scatter = (prow + self.k * pcol + self.k * self.upper)[self.entries]
+            # when the pattern is symmetric and a's entries are in (row, column)
+            # order, as in canonical CSR, the t-th entry in (column, row) order
+            # is the mirror of a's t-th entry
+            mirror = np.lexsort((rows, cols))
+            if np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows):
+                self.transpose = mirror
 
     def fits(self, a):
         """Whether a has the pattern this order was computed from."""
@@ -126,44 +159,106 @@ def _order_for(jac, order):
     return order if order is not None and order.fits(jac) else BandOrder(jac)
 
 
-class BandedLU:
-    """LAPACK banded LU with partial pivoting of a sparse matrix permuted to
-    its BandOrder; ``solve(b)`` and ``nnz`` (the band storage) as on
-    SciPy's SuperLU."""
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy's
+    wheel, which runs scipy's LAPACK calls; None when it is not there."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
-    def __init__(self, a, order):
-        n, k = a.shape[0], order.k
-        ab = np.bincount(order.scatter, weights=a.tocsr().data, minlength=(3 * k + 1) * n)
-        self._lu, self._piv, info = _gbtrf(ab.reshape(n, 3 * k + 1).T, k, k, overwrite_ab=1)
-        if info > 0:
-            raise RuntimeError("Factor is exactly singular")
-        self._k, self._perm = k, order.perm
-        self.nnz = self._lu.size
+
+_BLAS_THREADS = _openblas_threads()
+
+
+class _OneBlasThread:
+    """``with _one_blas_thread:`` runs its body on one OpenBLAS thread.
+
+    A banded factor or solve at k <= BAND_MAX is too small to split: on two
+    threads it runs slower than on one (see BAND_MAX). The first thread in
+    saves the count and sets 1, the last thread out restores it, also when
+    the body raises, so worker threads that overlap share one saved count
+    and none is left behind. Without ``_BLAS_THREADS`` it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None  # (set, count) to put back when the last thread leaves
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0 and _BLAS_THREADS is not None:
+                get, set_ = _BLAS_THREADS
+                count = get()
+                if count != 1:
+                    set_(1)
+                    self._restore = (set_, count)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                set_, count = self._restore
+                self._restore = None
+                set_(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+class BandedCholesky:
+    """LAPACK banded Cholesky factor (``pbtrf``) of a sparse matrix permuted
+    to its BandOrder, in the triangle the order picks; ``solve(b)`` and
+    ``nnz`` (the band storage, (k + 1) n) as on SciPy's SuperLU."""
+
+    def __init__(self, c, order):
+        self._c, self._perm, self._lower = c, order.perm, int(not order.upper)
+        self.nnz = c.size
 
     def solve(self, b):
-        x, _ = _gbtrs(self._lu, self._k, self._k, b[self._perm], self._piv, overwrite_b=1)
+        with _one_blas_thread:
+            x, _ = _pbtrs(self._c, b[self._perm], lower=self._lower, overwrite_b=1)
         out = np.empty_like(x)
         out[self._perm] = x
         return out
 
 
 def splu(a, order=None):
-    """LU factors of the square sparse matrix a, with ``solve(b)`` and ``nnz``.
+    """Factors of the square sparse matrix a, with ``solve(b)`` and ``nnz``.
 
     ``order`` is the BandOrder of a's pattern, computed here when not given.
-    A banded order is factored by LAPACK (``gbtrf``), a wider one by SuperLU
-    with ORDERING; both pivot partially. Raises RuntimeError when a is
-    exactly singular.
+    A banded order whose matrix is symmetric (``a.data`` equal to its
+    mirror under ``order.transpose``) is factored by LAPACK's banded
+    Cholesky. A wider order, non-symmetric values or pattern, or a
+    non-positive pivot go to SuperLU with ORDERING and partial pivoting.
+    Raises RuntimeError when a is exactly singular.
     """
     if order is None:
         order = BandOrder(a)
-    if not order.banded:
-        return superlu(sp.csc_matrix(a), permc_spec=ORDERING)
-    return BandedLU(a, order)
+    if order.transpose is not None:
+        data = a.tocsr().data
+        if np.array_equal(data, data[order.transpose]):
+            n, k = len(order.perm), order.k
+            ab = np.bincount(order.scatter, weights=data[order.entries], minlength=(k + 1) * n)
+            with _one_blas_thread:
+                c, info = _pbtrf(ab.reshape(n, k + 1).T, lower=int(not order.upper),
+                                 overwrite_ab=1)
+            if info == 0:
+                return BandedCholesky(c, order)
+    return superlu(sp.csc_matrix(a), permc_spec=ORDERING)
 
 
 def _factor(jac, order=None):
-    """Solve function of the LU factors of jac (see ``splu``)."""
+    """Solve function of the factors of jac (see ``splu``)."""
     try:
         return splu(jac, order).solve
     except RuntimeError as exc:
@@ -179,9 +274,9 @@ except (AttributeError, OSError, TypeError):  # not glibc
 
 
 class HeldFactor:
-    """The LU factors of one solve kind, kept across Newton steps and
-    solves, and the BandOrder of their pattern, which is recomputed only
-    when the pattern changes.
+    """The factors of one solve kind, kept across Newton steps and solves,
+    and the BandOrder of their pattern, which is recomputed only when the
+    pattern changes.
 
     ``solve`` is the solve function of the last linearization factored, or
     None; ``factorizations`` counts the factorizations. A replaced factor is
@@ -189,8 +284,9 @@ class HeldFactor:
     then asked to return the freed heap: a long-lived SuperLU factor
     otherwise keeps the pages freed below it resident (NN at h = 1/48, 12
     outer steps: peak RSS 108 MB with the trim, 130-176 MB without it). A
-    banded factor is one array, and trimming after it costs more than the
-    factorization.
+    banded Cholesky factor is one array, and trimming after it costs more
+    than the factorization. The kind of the freed factor decides, not the
+    order: a banded order falls back to SuperLU on an indefinite matrix.
     """
 
     def __init__(self):
@@ -201,8 +297,11 @@ class HeldFactor:
     def refactor(self, factor, jac):
         """Replace the factor by ``factor(jac, order)``; returns its solve."""
         if self.solve is not None:
+            # past wrappers that set __wrapped__, to the factor's own method
+            trim = not isinstance(getattr(inspect.unwrap(self.solve), "__self__", None),
+                                  BandedCholesky)
             self.solve = None
-            if not self.order.banded and _malloc_trim is not None:
+            if trim and _malloc_trim is not None:
                 _malloc_trim(0)
         self.order = _order_for(jac, self.order)
         self.solve = factor(jac, self.order)
@@ -221,7 +320,7 @@ def _at_rounding_floor(jac, u, rnorm):
 
 
 def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held=None):
-    """Damped Newton with sparse LU solves, Euclidean merit function and
+    """Damped Newton with sparse direct solves, Euclidean merit function and
     Armijo backtracking; with a HeldFactor ``held``, chord steps reuse its
     factor (see splitting.damped_newton). Without one, every step refactors
     on one BandOrder, rebuilt only when the Jacobian's pattern changes.
@@ -283,7 +382,7 @@ class SubdomainWorkspace:
 
     @property
     def factorizations(self):
-        """Sparse LU factorizations so far, across all solves."""
+        """Sparse factorizations so far, across all solves."""
         return sum(h.factorizations for h in self._held.values())
 
     # -- helpers -----------------------------------------------------------

@@ -1,7 +1,11 @@
+import functools
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import SuperLU
 
@@ -24,6 +28,15 @@ def coarse_setup():
     ws1 = SubdomainWorkspace(mesh, decomp, prob, 1)
     ws2 = SubdomainWorkspace(mesh, decomp, prob, 2)
     return prob, mesh, decomp, ws1, ws2
+
+
+def indefinite_problem():
+    """-Laplace(u) - 10 u = 1: beta_y < 0, outside the paper's hypotheses."""
+    return SemilinearProblem(
+        alpha=lambda x, y: np.ones_like(x),
+        beta=lambda x, y, u: -10.0 * u,
+        beta_y=lambda x, y, u: np.full_like(u, -10.0),
+        source=lambda x, y: np.ones_like(x))
 
 
 def zero_data_problem():
@@ -505,24 +518,63 @@ def _assert_solves(a, b, expected):
 class TestFactorization:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
-           density=st.floats(0.0, 0.3))
-    def test_banded_solve_matches_dense(self, seed, n, density):
-        # structurally symmetric pattern, non-symmetric diagonally dominant values
+           density=st.floats(0.0, 0.3),
+           case=st.sampled_from(["spd", "indefinite", "nonsymmetric"]))
+    def test_banded_solve_matches_dense(self, seed, n, density, case):
+        # structurally symmetric pattern, strictly diagonally dominant values:
+        # symmetric ones with a positive diagonal are SPD, and flipping one
+        # diagonal sign makes them indefinite but nonsingular
+        assume(n > 1 or case != "nonsymmetric")
         rng = np.random.default_rng(seed)
         mask = rng.random((n, n)) < density
+        mask[0, n - 1] = True
         mask |= mask.T
         np.fill_diagonal(mask, True)
         dense = np.where(mask, rng.standard_normal((n, n)), 0.0)
+        if case == "nonsymmetric":
+            dense[0, n - 1] = dense[n - 1, 0] + 1.0
+        else:
+            dense = np.triu(dense) + np.triu(dense, 1).T
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+        if case == "indefinite":
+            i = rng.integers(n)
+            dense[i, i] = -dense[i, i]
         a = sp.csr_matrix((dense[mask], np.nonzero(mask)), shape=(n, n))
-        assert subdomain.BandOrder(a).banded
+        order = subdomain.BandOrder(a)
+        assert order.banded and order.transpose is not None
         b = rng.standard_normal(n)
         lu = subdomain.splu(a)
-        assert isinstance(lu, subdomain.BandedLU)
-        assert type(lu.nnz) is int
+        if case == "spd":
+            assert isinstance(lu, subdomain.BandedCholesky)
+            assert type(lu.nnz) is int and lu.nnz == (order.k + 1) * n
+        else:
+            assert isinstance(lu, SuperLU)
         expected = np.linalg.solve(dense, b)
         for matrix in (a, a.tocsc()):
             _assert_solves(matrix, b, expected)
+
+    @pytest.mark.parametrize("k", [subdomain.UPPER_MAX, subdomain.UPPER_MAX + 1])
+    def test_either_band_triangle_matches_dense(self, k):
+        # SPD band matrices on both sides of UPPER_MAX, each factored in its triangle
+        n = 3 * k
+        rng = np.random.default_rng(k)
+        dense = np.zeros((n, n))
+        for d in range(1, k + 1):
+            off = rng.standard_normal(n - d)
+            dense += np.diag(off, d) + np.diag(off, -d)
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
+        a = sp.csr_matrix(dense)
+        order = subdomain.BandOrder(a)
+        assert order.k == k and order.upper == (k <= subdomain.UPPER_MAX)
+        assert isinstance(subdomain.splu(a, order), subdomain.BandedCholesky)
+        b = rng.standard_normal(n)
+        _assert_solves(a, b, np.linalg.solve(dense, b))
+
+    def test_unsymmetric_pattern_has_no_transpose(self):
+        a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
+        order = subdomain.BandOrder(a)
+        assert order.banded and order.transpose is None
+        assert isinstance(subdomain.splu(a, order), SuperLU)
 
     def test_exactly_singular_is_singular_jacobian(self):
         a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
@@ -544,27 +596,64 @@ class TestFactorization:
 
     @pytest.mark.parametrize("geometry", ["vertical", "staircase"])
     def test_subdomain_jacobians_match_superlu(self, geometry):
-        prob = cubic_reaction_problem()
+        # every Jacobian ddsemi factors is SPD, so each one must take the
+        # Cholesky path: a silent fallback to SuperLU would fail here
         mesh = build_rect_mesh(3, 2, 1 / 8)
         decomp = decompose_vertical(mesh, 1.5) if geometry == "vertical" else \
             decompose_staircase(mesh, [(1.5, 0), (1.5, 1), (2, 1), (2, 2)])
         rng = np.random.default_rng(9)
         matrices = []
-        for side in (1, 2):
-            dm = decomp.side_dofmap(side)
-            asm = Assembler(mesh, decomp.side_triangles(side), dm)
-            jac = asm.jacobian(rng.standard_normal(asm.n_dofs), prob)
-            m = dm.n_interior
-            penalty = sp.block_diag([sp.csr_matrix((m, m)), interface_mass_matrix(decomp)],
-                                    format="csr")
-            matrices += [jac[:m, :m], jac + 46.0 * penalty]
-        glob = Assembler(mesh, np.arange(mesh.n_triangles), mesh_global_dofmap(mesh))
-        matrices.append(glob.jacobian(rng.standard_normal(glob.n_dofs), prob))
+        for prob in (cubic_reaction_problem(), p_laplace_problem()):
+            for side in (1, 2):
+                dm = decomp.side_dofmap(side)
+                asm = Assembler(mesh, decomp.side_triangles(side), dm)
+                jac = asm.jacobian(rng.standard_normal(asm.n_dofs), prob)
+                m = dm.n_interior
+                penalty = sp.block_diag([sp.csr_matrix((m, m)),
+                                         interface_mass_matrix(decomp)], format="csr")
+                matrices += [jac[:m, :m], jac + 46.0 * penalty]
+            glob = Assembler(mesh, np.arange(mesh.n_triangles), mesh_global_dofmap(mesh))
+            matrices.append(glob.jacobian(rng.standard_normal(glob.n_dofs), prob))
         for a in matrices:
             assert subdomain.BandOrder(a).banded
+            assert isinstance(subdomain.splu(a), subdomain.BandedCholesky)
             b = rng.standard_normal(a.shape[0])
             expected = subdomain.superlu(a.tocsc(), permc_spec=subdomain.ORDERING).solve(b)
             _assert_solves(a, b, expected)
+
+    def test_indefinite_jacobian_falls_back_to_superlu(self, monkeypatch):
+        # beta_y < 0 breaks the hypotheses: the interior block K - 10 M is
+        # indefinite, so pbtrf meets a non-positive pivot and SuperLU solves
+        infos, factors = [], []
+        pbtrf, splu = subdomain._pbtrf, subdomain.splu
+
+        def spy_pbtrf(*args, **kwargs):
+            out = pbtrf(*args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        def spy_splu(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(subdomain, "_pbtrf", spy_pbtrf)
+        monkeypatch.setattr(subdomain, "splu", spy_splu)
+        prob = indefinite_problem()
+        mesh = build_rect_mesh(3, 2, 1 / 8)
+        decomp = decompose_vertical(mesh, 1.5)
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        eta = np.random.default_rng(12).standard_normal(decomp.n_interface)
+        u = ws.dirichlet_solve(InterfaceVector(eta))
+        assert infos and all(info > 0 for info in infos)
+        assert factors and all(isinstance(lu, SuperLU) for lu in factors)
+        # the problem is linear: residual(u) = jac @ u + residual(0)
+        zero, m = np.zeros(ws.asm.n_dofs), ws.m
+        jac = ws.asm.jacobian(zero, prob).toarray()
+        assert np.linalg.eigvalsh(jac[:m, :m]).min() < 0
+        rhs = -ws.asm.residual(zero, prob)
+        ui = np.linalg.solve(jac[:m, :m], rhs[:m] - jac[:m, m:] @ eta)
+        np.testing.assert_allclose(u.interior, ui, atol=1e-10)
+        assert np.linalg.norm(ws.asm.residual(u.data, prob)[:m]) <= ws.newton_tol
 
     def test_changed_pattern_recomputes_the_order(self):
         held = subdomain.HeldFactor()
@@ -587,6 +676,28 @@ class TestFactorization:
                                    rtol=1e-14)
         assert held.factorizations == 3
 
+    def test_trim_follows_the_kind_of_the_freed_factor(self, monkeypatch):
+        # a banded order can hold a SuperLU fallback; only that one is trimmed after
+        trims = []
+        monkeypatch.setattr(subdomain, "_malloc_trim", trims.append)
+        n = 6
+        spd = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
+        indefinite = spd - sp.diags(8.0 * (np.arange(n) == 2), format="csr")
+
+        def wrapped(jac, order):  # a solve behind a wrapper, as a tracer installs it
+            solve = subdomain._factor(jac, order)
+            return functools.wraps(solve)(lambda b: solve(b))
+
+        for factor in (subdomain._factor, wrapped):
+            held, trims[:] = subdomain.HeldFactor(), []
+            held.refactor(factor, spd)
+            held.refactor(factor, indefinite)
+            assert held.order.banded and trims == []
+            held.refactor(factor, spd)
+            assert trims == [0]
+            held.refactor(factor, spd)
+            assert trims == [0]
+
     def test_reference_solve_builds_one_order(self, monkeypatch):
         # every Newton step of the reference solve refactors one fixed pattern
         builds = []
@@ -605,3 +716,109 @@ class TestFactorization:
         monkeypatch.setattr(subdomain, "_order_for", lambda jac, order: CountedOrder(jac))
         assert solve_monolithic(prob, mesh).field.data.tobytes() == ref.field.data.tobytes()
         assert len(builds) == 1 + ref.newton_iterations
+
+
+def _spd_band_matrix(n=40):
+    return sp.diags([-1.0, -1.0, 4.5, -1.0, -1.0], [-3, -1, 0, 1, 3], shape=(n, n),
+                    format="csr")
+
+
+needs_blas_threads = pytest.mark.skipif(subdomain._BLAS_THREADS is None,
+                                        reason="scipy's OpenBLAS thread count is not reachable")
+
+
+@pytest.fixture
+def blas_count():
+    """The OpenBLAS thread count getter, with the count set to 2 for the test
+    and put back after it."""
+    get, set_ = subdomain._BLAS_THREADS
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+@pytest.fixture
+def counts_inside(monkeypatch, blas_count):
+    """Thread counts seen inside each banded LAPACK call."""
+    seen = []
+    for name in ("_pbtrf", "_pbtrs"):
+        def spy(*args, _call=getattr(subdomain, name), **kwargs):
+            seen.append(blas_count())
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(subdomain, name, spy)
+    return seen
+
+
+@needs_blas_threads
+class TestBlasThreadScope:
+    def test_count_is_one_inside_and_restored_after(self, blas_count, counts_inside):
+        a = _spd_band_matrix()
+        b = np.arange(1.0, a.shape[0] + 1)
+        lu = subdomain.splu(a)
+        assert isinstance(lu, subdomain.BandedCholesky)
+        assert blas_count() == 2
+        np.testing.assert_allclose(lu.solve(b), np.linalg.solve(a.toarray(), b), rtol=1e-12)
+        assert blas_count() == 2
+        assert counts_inside == [1, 1]
+
+    def test_count_is_restored_when_the_call_raises(self, monkeypatch, blas_count):
+        def failing(*args, **kwargs):
+            assert blas_count() == 1
+            raise ValueError("LAPACK failed")
+
+        monkeypatch.setattr(subdomain, "_pbtrf", failing)
+        with pytest.raises(ValueError, match="LAPACK failed"):
+            subdomain.splu(_spd_band_matrix())
+        assert blas_count() == 2
+
+    def test_one_thread_until_the_last_user_leaves(self, blas_count):
+        # nested scopes account exactly as overlapping worker threads do
+        with subdomain._one_blas_thread:
+            with subdomain._one_blas_thread:
+                assert blas_count() == 1
+            assert blas_count() == 1
+        assert blas_count() == 2
+
+    def test_overlapping_threads_restore_the_count(self, blas_count, counts_inside):
+        # more threads than cores and a short switch interval, so that scopes
+        # overlap often; a lost update of the shared depth would restore the
+        # count inside another thread's call or leave it at one
+        a = _spd_band_matrix(400)
+        b = np.ones(a.shape[0])
+        expected = np.linalg.solve(a.toarray(), b)
+        start = threading.Barrier(4)
+        errors = []
+
+        def work():
+            try:
+                start.wait(timeout=60)
+                for _ in range(30):
+                    np.testing.assert_allclose(subdomain.splu(a).solve(b), expected,
+                                               rtol=1e-12)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert blas_count() == 2
+        assert len(counts_inside) == 240 and set(counts_inside) == {1}
+
+
+def test_factor_and_solve_without_blas_thread_control(monkeypatch):
+    monkeypatch.setattr(subdomain, "_BLAS_THREADS", None)
+    a = _spd_band_matrix()
+    b = np.arange(1.0, a.shape[0] + 1)
+    lu = subdomain.splu(a)
+    assert isinstance(lu, subdomain.BandedCholesky)
+    np.testing.assert_allclose(lu.solve(b), np.linalg.solve(a.toarray(), b), rtol=1e-12)
