@@ -41,25 +41,17 @@ ORDERING = "MMD_AT_PLUS_A"
 # Symmetric positive definite matrices whose reverse Cuthill-McKee
 # half-bandwidth k is at most this are factored by LAPACK's banded Cholesky,
 # all others by SuperLU. 2-core VM, one factorization of a p-Laplace
-# subdomain Jacobian on one BLAS thread: k = 96 (h = 1/64) 12 ms and (k + 1) n
-# = 1.18M band entries against SuperLU's 38 ms and 0.73M entries; criterion
-# 9's NN run (h = 1/64, 1270 factorizations) 85-100 s -> 35-36 s, peak RSS
+# subdomain Jacobian on one BLAS thread: k = 96 (h = 1/64) 18 ms and (k + 1) n
+# = 1.18M band entries against SuperLU's 42 ms and 0.73M entries; criterion
+# 9's NN run (h = 1/64, 1270 factorizations) 85-100 s -> 45-50 s, peak RSS
 # 137 -> 148 MB. The banded calls run on one OpenBLAS thread
 # (``_one_blas_thread``): left on OpenBLAS's default two, that NN run takes
-# 118 s. At k = 192 (h = 1/128) ``pbtrf`` takes 145 ms against SuperLU's 244
-# ms, but its 9.4M band entries are 2.6 times SuperLU's fill, so h = 1/128
-# stays on SuperLU.
+# 111 s. At k = 192 (h = 1/128) ``pbtrf`` takes 194 ms against SuperLU's
+# 242 ms, but its 9.4M band entries are 2.6 times SuperLU's fill, so h = 1/128
+# stays on SuperLU. The upper triangle is stored because ``pbtrs`` on a lower
+# factor runs the transposed lower band solve, which is 2.5 times slower than
+# the other triangular band solves in the OpenBLAS scipy bundles (k = 36).
 BAND_MAX = 128
-# Bands up to this half-bandwidth are stored and factored as their upper
-# triangle, wider ones as their lower (one BLAS thread, 2-core VM, the
-# OpenBLAS that scipy 1.17 bundles). ``pbtrs`` on a lower factor runs the
-# transposed lower band solve, 2.5 times slower than the other triangular
-# band solves at k = 36 (65 against 21-26 us), so it is 12-45% slower than on
-# an upper factor up to k = 64. ``pbtrf`` on the lower triangle is 5-12%
-# faster up to k = 64 and, blocked differently above, 1.5 times faster from
-# k = 65 on (k = 96: 10.3 against 15.5 ms), where the two solves cost about
-# the same.
-UPPER_MAX = 64
 
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
@@ -115,13 +107,12 @@ class BandOrder:
     ``perm`` is the reverse Cuthill-McKee order of the pattern of the square
     sparse matrix a (Cuthill & McKee 1969; George & Liu 1981, ch. 4) and
     ``k`` the half-bandwidth of a on that order. When ``banded``
-    (k <= BAND_MAX), ``upper`` (k <= UPPER_MAX) picks the triangle that
-    LAPACK's band storage holds, ``entries`` lists the entries of a in that
-    triangle on that order and ``scatter`` their positions in a (k + 1, n)
-    array in Fortran order: A[i, j] at ab[k + i - j, j] (upper) or
-    ab[i - j, j] (lower). ``transpose`` gives, for each entry of a, the
-    position of its mirror entry, or is None when the pattern is not
-    structurally symmetric. Positions refer to a's entries in CSR form.
+    (k <= BAND_MAX), ``entries`` lists the entries of a in the upper
+    triangle on that order and ``scatter`` their positions in LAPACK band
+    storage: A[i, j] at ab[k + i - j, j] of a (k + 1, n) array in Fortran
+    order. ``transpose`` gives, for each entry of a, the position of its
+    mirror entry, or is None when the pattern is not structurally
+    symmetric. Positions refer to a's entries in CSR form.
     """
 
     def __init__(self, a):
@@ -136,11 +127,10 @@ class BandOrder:
         prow, pcol = rank[rows], rank[cols]
         self.k = int(np.abs(prow - pcol).max(initial=0))
         self.banded = self.k <= BAND_MAX
-        self.upper = self.k <= UPPER_MAX
         self.entries = self.scatter = self.transpose = None
         if self.banded:
-            self.entries = np.flatnonzero(prow <= pcol if self.upper else prow >= pcol)
-            self.scatter = (prow + self.k * pcol + self.k * self.upper)[self.entries]
+            self.entries = np.flatnonzero(prow <= pcol)
+            self.scatter = (self.k + prow + self.k * pcol)[self.entries]
             # when the pattern is symmetric and a's entries are in (row, column)
             # order, as in canonical CSR, the t-th entry in (column, row) order
             # is the mirror of a's t-th entry
@@ -217,16 +207,16 @@ _one_blas_thread = _OneBlasThread()
 
 class BandedCholesky:
     """LAPACK banded Cholesky factor (``pbtrf``) of a sparse matrix permuted
-    to its BandOrder, in the triangle the order picks; ``solve(b)`` and
-    ``nnz`` (the band storage, (k + 1) n) as on SciPy's SuperLU."""
+    to its BandOrder, stored as the upper triangle; ``solve(b)`` and ``nnz``
+    (the band storage, (k + 1) n) as on SciPy's SuperLU."""
 
     def __init__(self, c, order):
-        self._c, self._perm, self._lower = c, order.perm, int(not order.upper)
+        self._c, self._perm = c, order.perm
         self.nnz = c.size
 
     def solve(self, b):
         with _one_blas_thread:
-            x, _ = _pbtrs(self._c, b[self._perm], lower=self._lower, overwrite_b=1)
+            x, _ = _pbtrs(self._c, b[self._perm], lower=0, overwrite_b=1)
         out = np.empty_like(x)
         out[self._perm] = x
         return out
@@ -250,8 +240,7 @@ def splu(a, order=None):
             n, k = len(order.perm), order.k
             ab = np.bincount(order.scatter, weights=data[order.entries], minlength=(k + 1) * n)
             with _one_blas_thread:
-                c, info = _pbtrf(ab.reshape(n, k + 1).T, lower=int(not order.upper),
-                                 overwrite_ab=1)
+                c, info = _pbtrf(ab.reshape(n, k + 1).T, lower=0, overwrite_ab=1)
             if info == 0:
                 return BandedCholesky(c, order)
     return superlu(sp.csc_matrix(a), permc_spec=ORDERING)

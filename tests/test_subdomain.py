@@ -553,9 +553,9 @@ class TestFactorization:
         for matrix in (a, a.tocsc()):
             _assert_solves(matrix, b, expected)
 
-    @pytest.mark.parametrize("k", [subdomain.UPPER_MAX, subdomain.UPPER_MAX + 1])
-    def test_either_band_triangle_matches_dense(self, k):
-        # SPD band matrices on both sides of UPPER_MAX, each factored in its triangle
+    def test_widest_band_matches_dense(self):
+        # an SPD band matrix at half-bandwidth BAND_MAX still takes the Cholesky path
+        k = subdomain.BAND_MAX
         n = 3 * k
         rng = np.random.default_rng(k)
         dense = np.zeros((n, n))
@@ -565,7 +565,7 @@ class TestFactorization:
         np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 1.0)
         a = sp.csr_matrix(dense)
         order = subdomain.BandOrder(a)
-        assert order.k == k and order.upper == (k <= subdomain.UPPER_MAX)
+        assert order.k == k and order.banded
         assert isinstance(subdomain.splu(a, order), subdomain.BandedCholesky)
         b = rng.standard_normal(n)
         _assert_solves(a, b, np.linalg.solve(dense, b))
