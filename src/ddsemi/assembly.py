@@ -57,7 +57,7 @@ class FieldVector:
 
 def _at_points(fn, x, y, *args):
     out = np.asarray(fn(x, y, *args), dtype=float)
-    return np.broadcast_to(out, x.shape)
+    return out if out.shape == x.shape else np.broadcast_to(out, x.shape)
 
 
 class NonFiniteCoefficient(NonConvergence, ValueError):
@@ -195,7 +195,10 @@ class Assembler:
 
     def _vertex_values(self, u):
         """Values of the field at the triangles' vertices, (3, nt)."""
-        u_ext = np.append(np.asarray(u, dtype=float), 0.0)
+        # a fresh extended vector per call keeps the assembler re-entrant
+        u_ext = np.empty(self.n_dofs + 1)
+        u_ext[: self.n_dofs] = u
+        u_ext[self.n_dofs] = 0.0
         return u_ext[self._flat_gather].reshape(3, -1)
 
     def _p_laplace_gradient(self, uv, eps):
@@ -245,17 +248,24 @@ class Assembler:
         uq = self._phi_t @ uv  # (nq, nt)
 
         bq = _at_points(prob.beta, self.qx, self.qy, uq)
-        _require_finite("reaction term beta", bq, uq)
         # vertex-major (3, nt): the triangle-wise scalings run along rows
-        local = self.det * (self._wphi @ bq) \
-            - self._integral("load", prob.source, self._load_integral)
+        local = self.det * (self._wphi @ bq)
+        load_key = ("load", prob.source)
+        if load_key not in self._integrals:
+            # a bad beta is reported ahead of a bad source
+            _require_finite("reaction term beta", bq, uq)
+        local -= self._integral(*load_key, self._load_integral)
         if prob.kind != SEMILINEAR:
             gx, gy, anorm = self._p_laplace_gradient(uv, prob.grad_eps)
             coef = self.area * anorm
             local += (coef * gx) * self._gx + (coef * gy) * self._gy
 
-        out = np.bincount(self._flat_gather, weights=local.ravel(),
-                          minlength=self.n_dofs + 1)[: self.n_dofs]
+        out = np.bincount(self._flat_gather, weights=local.ravel(), minlength=self.n_dofs + 1)
+        # every weight det w phi is positive, so a non-finite beta value
+        # reaches this sum, in the spill slot when its nodes are constrained
+        if not np.isfinite(out).all():
+            _require_finite("reaction term beta", bq, uq)
+        out = out[: self.n_dofs]
         if prob.kind == SEMILINEAR:
             out += self._integral("stiffness", prob.alpha, self._stiffness) @ u
         return out

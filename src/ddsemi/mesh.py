@@ -325,15 +325,11 @@ def decompose_staircase(mesh, polyline):
     if any(on_boundary[n] for n in nodes[1:-1]):
         raise DisconnectedPath("polyline interior must stay off the outer boundary")
 
+    # unit lattice steps are mesh edges, and a boundary-to-boundary simple path cuts <= 2 parts
     cut = np.sort(np.column_stack([nodes[:-1], nodes[1:]]), axis=1)
     cut_keys = cut[:, 0] * mesh.n_nodes + cut[:, 1]
     edges, sides = _interior_edges(mesh)
     edge_keys = edges[:, 0] * mesh.n_nodes + edges[:, 1]
-    # a step between two boundary nodes may be a boundary edge, which the
-    # table of interior edges lacks; it separates nothing and fails below
-    missing = cut[~np.isin(cut_keys, edge_keys) & ~on_boundary[cut].all(axis=1)]
-    if missing.size:
-        raise PathNotOnGrid(f"polyline edge {tuple(missing[0].tolist())} is not a mesh edge")
 
     # Components of the triangle adjacency graph with the cut edges removed.
     kept = sides[~np.isin(edge_keys, cut_keys)]
@@ -342,8 +338,6 @@ def decompose_staircase(mesh, polyline):
     count, component = connected_components(graph, directed=False)
     if count == 1:
         raise DisconnectedPath("polyline does not separate the domain")
-    if count > 2:
-        raise DisconnectedPath("polyline splits the domain into more than two parts")
     labels = np.where(component == component[0], 1, 2)
     return _build_decomposition(mesh, labels)
 

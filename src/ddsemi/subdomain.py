@@ -1,10 +1,10 @@
 """Subdomain solves and discrete Steklov-Poincare operators.
 
 A SubdomainWorkspace binds (mesh, decomposition, problem, side) and owns
-the assembler, one warm start and one held factor per solve kind, the
-Newton and factorization counters, the tangent Jacobian at the last
-linearization trace and the interface block of the last residual a solve
-assembled. Local coefficient vectors are laid out
+the assembler, the last two solved pairs and one held factor per solve
+kind, the Newton and factorization counters, the tangent Jacobian at the
+last linearization trace and the interface block of the last residual a
+solve assembled. Local coefficient vectors are laid out
 [interior | interface]; the trace operator extracts the interface block.
 
 The Steklov-Poincare action of a trace eta is the interface block of the
@@ -298,6 +298,36 @@ class HeldFactor:
         return self.solve
 
 
+def _secant_start(pairs, datum, n):
+    """Newton start for a solve with interface datum ``datum`` from up to two
+    (datum, field) pairs, newest last: u_b + theta (u_b - u_a) with
+    theta = <d - d_b, d_b - d_a> / |d_b - d_a|^2, the secant predictor of
+    continuation methods (Allgower & Georg 1990, ch. 2). It is u_b itself
+    with one pair, when d_b = d_a, or when d is byte-equal to d_b (a
+    repeated solve), and zero without a pair. Always a fresh array.
+    """
+    if not pairs:
+        return np.zeros(n)
+    d_b, u_b = pairs[-1]
+    if len(pairs) < 2 or datum.tobytes() == d_b.tobytes():
+        return u_b.copy()
+    d_a, u_a = pairs[0]
+    chord = d_b - d_a
+    length = float(chord @ chord)
+    if length == 0.0:
+        return u_b.copy()
+    return u_b + (float((datum - d_b) @ chord) / length) * (u_b - u_a)
+
+
+def _recorded(pairs, datum, field):
+    """pairs with (datum, field) added as the newest and at most two kept;
+    a pair whose datum is byte-equal to the newest one's replaces it, so
+    that repeating a solve leaves the pairs as they were."""
+    if pairs and datum.tobytes() == pairs[-1][0].tobytes():
+        pairs = pairs[:-1]
+    return pairs[-1:] + ((datum, field),)
+
+
 def _no_source(x, y):
     return np.zeros_like(x)
 
@@ -339,10 +369,20 @@ class SubdomainWorkspace:
 
     newton_rtol is relative to the load scale (the residual norm of the
     zero field), giving an absolute tolerance that warm starts cannot
-    over-tighten. Each solve kind warm-starts from its own last field, so
+    over-tighten. Each solve starts from the secant prediction of its last
+    two solved (interface datum, field) pairs (``_secant_start``), so
     repeating a solve takes no Newton step and returns the same field, and
     its Newton steps reuse the kind's held factor while that factor keeps
     contracting the residual.
+
+    The Neumann, Robin and correction solves each keep their own pairs,
+    with the datum psi, g or rho; the Robin pairs are dropped when
+    ``robin_s`` changes. The Dirichlet pairs are the last two fields that
+    solve the interior equations of the workspace's problem, from
+    Dirichlet, Neumann and Robin solves alike, each with its trace: after a
+    Dirichlet solve at eta and a Neumann solve with trace tau, a Dirichlet
+    solve at s tau + (1 - s) eta, the relaxed Dirichlet-Neumann update,
+    starts from s u_N + (1 - s) u_D. Only solves that succeed are recorded.
     """
 
     def __init__(self, mesh, decomp, problem, side,
@@ -359,7 +399,9 @@ class SubdomainWorkspace:
         self.newton_tol = newton_rtol * max(1.0, float(np.linalg.norm(load)))
         self.newton_max = newton_max
         self.newton_iters = 0  # cumulative, across all solves
-        self._warm = {}
+        # up to two (datum, field) pairs per solve kind, newest last
+        self._pairs = {kind: () for kind in ("dirichlet", "neumann", "robin", "correction")}
+        self._robin_s = None  # the Robin parameter of the Robin pairs
         self._held = {kind: HeldFactor() for kind in
                       ("dirichlet", "neumann", "robin", "correction", "tangent")}
         self._tangent = None  # (nu bytes, jacobian at the constrained solution)
@@ -428,16 +470,16 @@ class SubdomainWorkspace:
     @property
     def last_neumann(self):
         """Copy of the field of the last Neumann solve, or None."""
-        u = self._warm.get("neumann")
-        return None if u is None else FieldVector(u.copy(), self.m)
+        pairs = self._pairs["neumann"]
+        return FieldVector(pairs[-1][1].copy(), self.m) if pairs else None
 
     # -- nonlinear solves ---------------------------------------------------
 
     def _solve(self, problem, kind, tol, eta=None, psi=None, robin_s=None):
-        """Damped Newton on the subdomain operator of ``problem``, warm-started
-        from the last field of ``kind``, which the result replaces, and with
-        the held factor of ``kind``. The caller gets a copy, never the warm
-        start itself.
+        """Damped Newton on the subdomain operator of ``problem``, started
+        from the secant prediction of the pairs of ``kind`` (see the class)
+        and with the held factor of ``kind``. The caller gets a copy, never
+        a recorded field.
 
         With ``eta`` only the m interior unknowns are free, the trace is
         fixed to eta and Newton factors the assembled interior block.
@@ -445,10 +487,12 @@ class SubdomainWorkspace:
         interface residual psi, or with ``robin_s`` the interface residual
         plus robin_s * M_Gamma * trace equal to psi.
         """
-        m = self.m
-        free = self.asm.n_dofs if eta is None else m
-        warm = self._warm.get(kind)
-        full = warm.copy() if warm is not None else np.zeros(self.asm.n_dofs)
+        m, n = self.m, self.asm.n_dofs
+        free = n if eta is None else m
+        pairs = self._pairs[kind]
+        if robin_s is not None and robin_s != self._robin_s:
+            pairs = ()
+        full = _secant_start(pairs, psi if eta is None else eta, n)
         if eta is not None:
             full[m:] = eta
         if robin_s is not None:
@@ -475,7 +519,11 @@ class SubdomainWorkspace:
                                     self._held[kind])
         self.newton_iters += iters
         full[:free] = x
-        self._warm[kind] = full
+        self._pairs[kind] = _recorded(pairs, full[m:] if eta is not None else psi.copy(), full)
+        if robin_s is not None:
+            self._robin_s = robin_s
+        if kind != "dirichlet" and problem is self.problem:
+            self._pairs["dirichlet"] = _recorded(self._pairs["dirichlet"], full[m:], full)
         return FieldVector(full.copy(), m)
 
     def dirichlet_solve(self, eta, tol=None):

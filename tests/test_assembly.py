@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsemi.assembly import (Assembler, FieldVector, assemble_jacobian,
-                             assemble_residual, interface_mass_matrix)
+from ddsemi.assembly import (Assembler, FieldVector, NonFiniteCoefficient, _require_finite,
+                             assemble_jacobian, assemble_residual, interface_mass_matrix)
 from ddsemi.mesh import (DofMap, TriMesh, build_rect_mesh, decompose_staircase,
                          decompose_vertical)
 from ddsemi.oracle import dense_brute_force, mesh_global_dofmap
-from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
+from ddsemi.problems import (SEMILINEAR, SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
 from ddsemi.splitting import NonConvergence
 from ddsemi.subdomain import SubdomainWorkspace
@@ -203,6 +203,131 @@ class TestResidual:
         asm = Assembler(m, [0], free_triangle_dofmap(m, 0))
         asm.h1_matrix()
         assert asm.observed == {}
+
+
+def reference_residual(asm, u, prob):
+    """The residual kernel as it was before its trims (np.append, a
+    finiteness check of every beta value before the sum, broadcast_to at
+    every point set), kept as the bitwise reference."""
+    u = np.asarray(u, dtype=float)
+    uv = np.append(u, 0.0)[asm._flat_gather].reshape(3, -1)
+    uq = asm._phi_t @ uv
+    bq = np.broadcast_to(np.asarray(prob.beta(asm.qx, asm.qy, uq), dtype=float), asm.qx.shape)
+    _require_finite("reaction term beta", bq, uq)
+    local = asm.det * (asm._wphi @ bq) \
+        - asm._integral("load", prob.source, asm._load_integral)
+    if prob.kind != SEMILINEAR:
+        gx, gy, anorm = asm._p_laplace_gradient(uv, prob.grad_eps)
+        coef = asm.area * anorm
+        local += (coef * gx) * asm._gx + (coef * gy) * asm._gy
+    out = np.bincount(asm._flat_gather, weights=local.ravel(),
+                      minlength=asm.n_dofs + 1)[: asm.n_dofs]
+    if prob.kind == SEMILINEAR:
+        out += asm._integral("stiffness", prob.alpha, asm._stiffness) @ u
+    return out
+
+
+def _inside(tri_nodes):
+    """Whether the points (x, y) lie strictly inside the triangle."""
+    (x0, y0), (x1, y1), (x2, y2) = tri_nodes
+
+    def test(x, y):
+        d = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        a = ((x1 - x) * (y2 - y) - (x2 - x) * (y1 - y)) / d
+        b = ((x2 - x) * (y0 - y) - (x0 - x) * (y2 - y)) / d
+        return (a > 0) & (b > 0) & (1 - a - b > 0)
+    return test
+
+
+def _with(prob, **data):
+    return replace(prob, **data)
+
+
+class TestResidualKernel:
+    """The trimmed residual against the reference formula kept above."""
+
+    @pytest.fixture(scope="class")
+    def side(self):
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_staircase(m, [(1.5, 0), (1.5, 1), (2, 1), (2, 2)])
+        return m, d
+
+    @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
+    def test_bitwise_equal_to_the_reference(self, side, make_problem):
+        m, d = side
+        prob = make_problem()
+        rng = np.random.default_rng(21)
+        for s in (1, 2):
+            asm = Assembler(m, d.side_triangles(s), d.side_dofmap(s))
+            for scale in np.geomspace(1e-3, 5.0, 30):
+                u = scale * rng.standard_normal(asm.n_dofs)
+                assert asm.residual(u, prob).tobytes() == reference_residual(asm, u, prob).tobytes()
+
+    @staticmethod
+    def _outcome(residual, u, prob):
+        try:
+            return residual(u, prob)
+        except NonFiniteCoefficient as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("case", ["free", "constrained-corner", "field-non-finite-there",
+                                      "source-too", "field-elsewhere"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_beta_raises_where_it_did(self, case, value):
+        m = build_rect_mesh(3, 2, 0.5)
+        d = decompose_vertical(m, 1.5)
+        tris, dofmap = d.side_triangles(1), d.side_dofmap(1)
+        constrained = (dofmap.dof_of_node[m.triangles[tris]] < 0).all(axis=1)
+        # the corner triangle's three nodes are constrained: its entries reach
+        # only the spill slot of the sum
+        corner = tris[np.flatnonzero(constrained)[0]]
+        target = corner if case == "constrained-corner" else tris[np.flatnonzero(~constrained)[0]]
+        inside = _inside(m.nodes[m.triangles[target]])
+        base = cubic_reaction_problem()
+        prob = _with(base, beta=lambda x, y, u: np.where(inside(x, y), value, u ** 3))
+        if case == "source-too":
+            prob = _with(prob, source=lambda x, y: np.full_like(x, value))
+        u = 0.3 * np.ones(dofmap.n_dofs)
+        if case == "field-non-finite-there":
+            u[dofmap.dof_of_node[m.triangles[target]]] = np.nan
+        if case == "field-elsewhere":
+            u[np.setdiff1d(np.arange(dofmap.n_dofs), dofmap.dof_of_node[m.triangles[target]])[0]] \
+                = np.nan
+        asm = Assembler(m, tris, dofmap)
+        # a call with good data first, so that only the bad one meets a held load
+        asm.residual(u, base)
+        new = self._outcome(asm.residual, u, prob)
+        old = self._outcome(lambda *a: reference_residual(Assembler(m, tris, dofmap), *a),
+                            u, prob)
+        if case == "field-non-finite-there":
+            assert not np.isfinite(new).all()
+            assert new.tobytes() == old.tobytes()
+        else:
+            assert new == old == "reaction term beta must be finite at finite field values"
+
+    @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
+    def test_non_finite_field_gives_non_finite_residual(self, side, make_problem):
+        m, d = side
+        asm = Assembler(m, d.side_triangles(2), d.side_dofmap(2))
+        prob = make_problem()
+        for bad in (np.nan, np.inf):
+            u = np.zeros(asm.n_dofs)
+            u[asm.n_dofs // 2] = bad
+            with np.errstate(invalid="ignore"):
+                r = asm.residual(u, prob)
+            assert not np.isfinite(r).all()
+            with np.errstate(invalid="ignore"):
+                assert r.tobytes() == reference_residual(asm, u, prob).tobytes()
+
+    def test_scalar_coefficients_are_broadcast(self):
+        # a callable returning a scalar still gives a value at every point
+        m = build_rect_mesh(2, 1, 0.5)
+        d = decompose_vertical(m, 1.0)
+        asm = Assembler(m, d.side_triangles(1), d.side_dofmap(1))
+        prob = SemilinearProblem(alpha=lambda x, y: 1.0, beta=lambda x, y, u: 0.5,
+                                 beta_y=lambda x, y, u: 0.0, source=lambda x, y: 2.0)
+        u = np.linspace(0.0, 1.0, asm.n_dofs)
+        assert asm.residual(u, prob).tobytes() == reference_residual(asm, u, prob).tobytes()
 
 
 class TestJacobian:

@@ -102,6 +102,20 @@ class TestRunCommand:
                         + (out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_all_methods_deterministic_across_runs_and_workers(self, tmp_path):
+        # each workspace keeps its own solve history, so neither a second run
+        # nor a second worker can change a byte of the output
+        outs = []
+        for name, workers in (("a", "1"), ("b", "1"), ("c", "2")):
+            out = tmp_path / name
+            code = run_cli("run", "--problem", "example1", "--method", "all",
+                           "--h", "1/8", "--workers", workers,
+                           "--output-dir", str(out), "--no-timing")
+            assert code == 0
+            outs.append({f: (out / f).read_bytes() for f in
+                         ("dn_h8.csv", "rr_h8.csv", "nn_h8.csv", "summary.json")})
+        assert outs[0] == outs[1] == outs[2]
+
     def test_csv_without_timing_leaves_report_intact(self, tmp_path):
         rows = [IterationRow(n, 0.5 ** n, 1.0, 2, 3, 1.25 + n) for n in range(3)]
         report = MethodReport("dn", rows, "converged")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,25 @@ class TestDecomposeStaircase:
             decompose_staircase(m, [(1.5, 0), (1.5, 1.5)])  # dead end inside
         with pytest.raises(DisconnectedPath):
             decompose_staircase(m, [(1.5, 0.5), (1.5, 1.5)])  # starts off boundary
+
+    @pytest.mark.parametrize("path, error, message", [
+        ([(1.5, 0)], PathNotOnGrid, "polyline needs at least two points"),
+        ([(1.3, 0), (1.3, 2)], PathNotOnGrid, "point (1.3, 0) is not a mesh node"),
+        ([(1.5, 0), (1.5, 2.5)], PathNotOnGrid, "point (1.5, 2.5) lies outside the domain"),
+        ([(1.5, 0), (2.0, 0.5)], PathNotOnGrid, "polyline segments must be axis-aligned"),
+        ([(1.5, 0), (1.5, 0), (1.5, 2)], PathNotOnGrid, "zero-length polyline segment"),
+        ([(1.5, 0), (1.5, 1), (2, 1), (2, 0.5), (1, 0.5), (1, 2)], DisconnectedPath,
+         "polyline is self-intersecting"),
+        ([(1.5, 0.5), (1.5, 2)], DisconnectedPath,
+         "polyline endpoints must lie on the outer boundary"),
+        ([(1.5, 0), (2, 0), (2, 2)], DisconnectedPath,
+         "polyline interior must stay off the outer boundary"),
+        ([(1.5, 0), (2, 0)], DisconnectedPath, "polyline does not separate the domain"),
+    ])
+    def test_each_invalid_path_has_its_error(self, path, error, message):
+        m = build_rect_mesh(3, 2, 0.5)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            decompose_staircase(m, path)
 
 
 STAIR_H = 1 / 8

@@ -442,6 +442,107 @@ class TestSolveRepeat:
         assert ws.last_neumann.data.tobytes() == first.tobytes()
 
 
+class TestSecantStart:
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        # records (start, Newton steps) of every workspace solve
+        seen = []
+        original = subdomain.sparse_newton
+
+        def spy(residual_fn, jacobian_fn, u0, *rest):
+            start = np.array(u0, copy=True)
+            x, iters, rnorm = original(residual_fn, jacobian_fn, u0, *rest)
+            seen.append((start, iters))
+            return x, iters, rnorm
+
+        monkeypatch.setattr(subdomain, "sparse_newton", spy)
+        return seen
+
+    def test_relaxed_dirichlet_neumann_trace_starts_near_its_solution(self, starts):
+        # one Dirichlet-Neumann step on side 2 near the converged trace, where
+        # the relaxed iteration contracts steadily
+        prob = cubic_reaction_problem()
+        mesh = build_rect_mesh(3, 2, 1 / 16)
+        decomp = decompose_vertical(mesh, 1.5)
+        ws1 = SubdomainWorkspace(mesh, decomp, prob, 1)
+        ws2 = SubdomainWorkspace(mesh, decomp, prob, 2)
+        s = 0.36
+        trace = solve_monolithic(prob, mesh).trace(decomp).data
+        rng = np.random.default_rng(16)
+        eta = InterfaceVector(trace * (1.0 + 1e-3 * rng.standard_normal(decomp.n_interface)))
+        r1 = ws1.interface_residual(ws1.dirichlet_solve(eta))
+        u_dirichlet = ws2.dirichlet_solve(eta)
+        tau = ws2.trace(ws2.neumann_solve(-1.0 * r1))
+        eta = s * tau + (1.0 - s) * eta
+        ws2.dirichlet_solve(eta)
+        start, iters = starts[-1]
+        m = ws2.m
+        plain = np.concatenate([u_dirichlet.interior, eta.data])
+        secant = np.concatenate([start, eta.data])
+        plain_res = np.linalg.norm(ws2.asm.residual(plain, prob)[:m])
+        secant_res = np.linalg.norm(ws2.asm.residual(secant, prob)[:m])
+        assert secant_res <= 0.1 * plain_res
+        assert iters <= 1
+
+    def test_failed_solve_records_nothing(self, coarse_setup):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        k = decomp.n_interface
+        ws.dirichlet_solve(InterfaceVector(np.full(k, 0.1)))
+        ws.neumann_solve(InterfaceVector(np.full(k, 0.01), dual=True))
+        ws.neumann_solve(InterfaceVector(np.full(k, 0.02), dual=True))
+        before = dict(ws._pairs)
+        ws.newton_max = 0
+        with pytest.raises(NonConvergence):
+            ws.neumann_solve(InterfaceVector(np.full(k, 0.5), dual=True))
+        assert all(ws._pairs[kind] is pairs for kind, pairs in before.items())
+
+    def test_correction_fields_stay_out_of_the_dirichlet_pairs(self, coarse_setup, starts):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        k = decomp.n_interface
+        eta = InterfaceVector(np.full(k, 0.1))
+        u = ws.dirichlet_solve(eta)
+        ws.neumann_correction_solve(InterfaceVector(np.full(k, 0.3), dual=True))
+        assert [pair[1].tobytes() for pair in ws._pairs["dirichlet"]] == [u.data.tobytes()]
+        steps = ws.newton_iters
+        assert ws.dirichlet_solve(eta).data.tobytes() == u.data.tobytes()
+        assert ws.newton_iters == steps
+
+    def test_new_robin_parameter_drops_the_robin_pairs(self, coarse_setup, starts):
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        k = decomp.n_interface
+        for value in (0.01, 0.02):
+            ws.robin_solve(InterfaceVector(np.full(k, value), dual=True), 46.0)
+        assert len(ws._pairs["robin"]) == 2
+        ws.robin_solve(InterfaceVector(np.full(k, 0.03), dual=True), 10.0)
+        assert not starts[-1][0].any()
+        assert len(ws._pairs["robin"]) == 1
+
+    def test_equal_data_start_at_the_newer_field(self):
+        rng = np.random.default_rng(3)
+        u_a, u_b = rng.standard_normal(6), rng.standard_normal(6)
+        # equal in value, not in bytes: the secant has no direction
+        d_a, d_b = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+        start = subdomain._secant_start(((d_a, u_a), (d_b, u_b)), np.array([0.5, 2.0]), 6)
+        assert start.tobytes() == u_b.tobytes()
+        assert start is not u_b
+
+    def test_prediction_is_exact_for_affine_data(self):
+        # fields affine in the datum are predicted exactly along the secant
+        rng = np.random.default_rng(4)
+        a, c = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        d_a, d_b = rng.standard_normal(3), rng.standard_normal(3)
+        pairs = ((d_a, a @ d_a + c), (d_b, a @ d_b + c))
+        for t in (-0.64, 0.5, 2.0):
+            d = d_b + t * (d_b - d_a)
+            np.testing.assert_allclose(subdomain._secant_start(pairs, d, 5), a @ d + c,
+                                       rtol=0, atol=1e-12)
+        assert not subdomain._secant_start((), d_a, 5).any()
+        assert subdomain._secant_start(pairs[:1], d_b, 5).tobytes() == pairs[0][1].tobytes()
+
+
 class TestHeldFactor:
     def test_nearby_solve_reuses_the_factor(self, coarse_setup):
         prob, mesh, decomp, _, _ = coarse_setup
