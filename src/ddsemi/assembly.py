@@ -18,12 +18,14 @@ local Jacobian is a_eps times the element stiffness plus a rank-one term.
 Accumulation order is fixed, so repeated assembly is bitwise reproducible.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .problems import SEMILINEAR, SemilinearProblem
+from .problems import SEMILINEAR
 from .quadrature import quadrature_rule
 from .splitting import NonConvergence
 
@@ -76,43 +78,18 @@ def _require_finite(name, values, field):
         raise NonFiniteCoefficient(f"{name} must be finite at finite field values")
 
 
-_H1 = SemilinearProblem(
-    alpha=lambda x, y: np.ones_like(x),
-    beta=lambda x, y, u: u,
-    beta_y=lambda x, y, u: np.ones_like(u),
-    source=lambda x, y: np.zeros_like(x),
-)
+class Geometry:
+    """What no field or problem changes on one (mesh, triangle set, dof map,
+    quadrature degree): quadrature tables, element stiffness, the Jacobian's
+    pattern and, built on first use (``shared``), the interior block's pattern,
+    band orders and H1 Gram values. Its arrays are read-only."""
 
-
-class Assembler:
-    """Cached geometry and quadrature for one (mesh, triangles, dofmap).
-
-    The triangle subset and the dof map are fixed at construction; the
-    field argument varies per call. The field-independent integrals of
-    the source and the semilinear stiffness matrix of the diffusion
-    coefficient are computed once per callable and kept for the
-    assembler's lifetime, so callables must be pure; every returned
-    Jacobian owns its arrays. ``jacobian(..., interior=True)`` returns
-    the block of the interior dofs, picked from the summed nonzeros
-    without forming the full matrix; it equals the slice ``[:m, :m]`` of
-    the full Jacobian bit for bit. ``observed`` holds the smallest
-    diffusion value (``alpha_min``, semilinear kind) and reaction slope
-    (``beta_y_min``) seen at the quadrature points of this assembler's
-    residual and Jacobian calls.
-
-    Per-triangle arrays put the triangle last, so each kernel runs along
-    contiguous rows: the basis gradients ``_gx``, ``_gy`` are (3, nt), the
-    element stiffness ``_stiff`` (9, nt) with rows (j, k), the quadrature
-    points ``qx``, ``qy`` (nq, nt), and the local Jacobian entries are
-    scattered in that (j, k)-then-triangle order.
-    """
-
-    def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
+    def __init__(self, mesh, tris, dofmap, degree):
         self.mesh = mesh
-        self.tris = np.asarray(tris, dtype=np.int64)
-        self.dofmap = dofmap
+        self.tris = np.array(tris, dtype=np.int64)
+        self.dof_of_node = np.array(dofmap.dof_of_node)
+        self.n_interior = dofmap.n_interior
         self.rule = quadrature_rule(degree)
-        self.observed = {}
 
         pts = mesh.nodes[mesh.triangles[self.tris]]  # (nt, 3, 2)
         e1 = pts[:, 1] - pts[:, 0]
@@ -137,9 +114,8 @@ class Assembler:
         self.phi = np.stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])  # (3, nq)
         self._phi_t = self.phi.T.copy()  # (nq, 3): field values at the points
         self._wphi = self.w[None, :] * self.phi  # (3, nq)
-        self._integrals = {}  # (kind, callable) -> load integrals or stiffness matrix
 
-        tri_dofs = dofmap.dof_of_node[mesh.triangles[self.tris]]  # (nt, 3), -1 constrained
+        tri_dofs = self.dof_of_node[mesh.triangles[self.tris]]  # (nt, 3), -1 constrained
         self.n_dofs = dofmap.n_dofs
         # Sentinel slot n_dofs catches constrained nodes on gather/scatter.
         # The flat gather is vertex-major, as the (3, nt) local residual entries.
@@ -152,7 +128,8 @@ class Assembler:
         self._stiff = (gx[:, None, :] * gx[None, :, :]
                        + gy[:, None, :] * gy[None, :, :]).reshape(9, nt)
         self._build_pattern(tri_dofs)
-        self._interior = None  # pattern of the interior block, built on first use
+        _frozen(self)
+        self._shared = {}  # key -> pattern-only data built on first use
 
     def _build_pattern(self, tri_dofs):
         """Canonical CSR pattern of the Jacobian and the map from the 9*nt
@@ -171,25 +148,97 @@ class Assembler:
         self._indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=self._indptr[1:])
 
-    def _interior_pattern(self):
+    def shared(self, key, build):
+        """build(), made read-only on the first call for key and then kept;
+        under a race each thread may build, and all get the value stored."""
+        value = self._shared.get(key)
+        return value if value is not None else self._shared.setdefault(key, _frozen(build()))
+
+    def interior_pattern(self):
         """(keep, indices, indptr) of the block of the m interior dofs:
         ``keep`` lists the Jacobian's nonzeros in rows and columns below m,
         in their CSR order, which is the block's; it stays a native index
         array, which numpy gathers with about a quarter of the time an
         int32 one takes."""
-        if self._interior is None:
-            m = self.dofmap.n_interior
+        def build():
+            m = self.n_interior
             rows = np.repeat(np.arange(self.n_dofs), np.diff(self._indptr))
             keep = np.flatnonzero((rows < m) & (self._indices < m))
             indptr = np.zeros(m + 1, dtype=np.int32)
             np.cumsum(np.bincount(rows[keep], minlength=m), out=indptr[1:])
-            self._interior = (keep, self._indices[keep], indptr)
-        return self._interior
+            return keep, self._indices[keep], indptr
+        return self.shared("interior", build)
 
-    def _fill(self, local):
+    def fill(self, local):
         """Jacobian nonzeros summed from the (9, nt) local entries."""
         return np.bincount(self._scatter, weights=local.ravel(),
                            minlength=self._nnz + 1)[: self._nnz]
+
+    def pattern(self, interior=False):
+        """Matrix of ones on the Jacobian's pattern, or on its interior block's."""
+        indices, indptr = self.interior_pattern()[1:] if interior else (self._indices, self._indptr)
+        n = indptr.shape[0] - 1
+        return sp.csr_matrix((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))
+
+
+def _frozen(value):
+    """value, with the arrays it holds in a tuple or as attributes made read-only."""
+    for a in value if isinstance(value, tuple) else vars(value).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return value
+
+
+# One geometry per key while some Assembler holds it: an entry goes with its
+# last holder, so no geometry outlives its use. A geometry holds its mesh,
+# whose id therefore cannot be reused while the entry exists.
+_GEOMETRIES = weakref.WeakValueDictionary()
+_GEOMETRIES_LOCK = threading.Lock()
+
+
+def geometry_of(mesh, tris, dofmap, degree=DEFAULT_DEGREE):
+    """The live Geometry of (mesh, tris, dofmap, degree), or a new one."""
+    tris = np.asarray(tris, dtype=np.int64)
+    key = (id(mesh), degree, dofmap.n_interior, hash(tris.tobytes()),
+           hash(dofmap.dof_of_node.tobytes()))
+    with _GEOMETRIES_LOCK:
+        geometry = _GEOMETRIES.get(key)
+        # a hit is confirmed on the hashed arrays
+        if geometry is None or not (np.array_equal(geometry.tris, tris) and np.array_equal(
+                geometry.dof_of_node, dofmap.dof_of_node)):
+            geometry = _GEOMETRIES[key] = Geometry(mesh, tris, dofmap, degree)
+    return geometry
+
+
+class Assembler:
+    """Residuals and Jacobians over one (mesh, triangles, dofmap).
+
+    The triangle subset and the dof map are fixed at construction, and
+    the attributes of their shared ``geometry`` are the assembler's too;
+    the field argument varies per call. The field-independent integrals of
+    the source and the semilinear stiffness matrix of the diffusion
+    coefficient are computed once per callable and kept for the
+    assembler's lifetime, so callables must be pure; every returned
+    Jacobian owns its arrays. ``jacobian(..., interior=True)`` returns
+    the block of the interior dofs, picked from the summed nonzeros
+    without forming the full matrix; it equals the slice ``[:m, :m]`` of
+    the full Jacobian bit for bit. ``observed`` holds the smallest
+    diffusion value (``alpha_min``, semilinear kind) and reaction slope
+    (``beta_y_min``) seen at the quadrature points of this assembler's
+    residual and Jacobian calls.
+
+    Per-triangle arrays put the triangle last, so each kernel runs along
+    contiguous rows: the basis gradients ``_gx``, ``_gy`` are (3, nt), the
+    element stiffness ``_stiff`` (9, nt) with rows (j, k), the quadrature
+    points ``qx``, ``qy`` (nq, nt), and the local Jacobian entries are
+    scattered in that (j, k)-then-triangle order.
+    """
+
+    def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
+        self.geometry = geometry_of(mesh, tris, dofmap, degree)
+        vars(self).update(vars(self.geometry))
+        self.observed = {}
+        self._integrals = {}  # (kind, callable) -> load integrals or stiffness matrix
 
     # -- field evaluation ------------------------------------------------
 
@@ -229,7 +278,7 @@ class Assembler:
             raise ValueError(
                 f"diffusion coefficient must be positive and finite (min {amin:g})")
         # K shares the pattern's index arrays; it never leaves the assembler
-        return sp.csr_matrix((self._fill(coef * self._stiff), self._indices,
+        return sp.csr_matrix((self.geometry.fill(coef * self._stiff), self._indices,
                               self._indptr), shape=(self.n_dofs, self.n_dofs))
 
     def _load_integral(self, source):
@@ -285,7 +334,7 @@ class Assembler:
 
         if prob.kind == SEMILINEAR:
             data = self._integral("stiffness", prob.alpha, self._stiffness).data \
-                + self._fill(mass)
+                + self.geometry.fill(mass)
         else:
             # d/dg [a g] = a I + (g x g)/a with a = sqrt(|g|^2 + eps^2): the
             # rank-one part is the outer product of sqrt(area/a) g.grad(phi_j)
@@ -293,22 +342,26 @@ class Assembler:
             v = np.sqrt(self.area / anorm) * (gx * self._gx + gy * self._gy)  # (3, nt)
             mass += (self.area * anorm) * self._stiff
             mass += (v[:, None, :] * v[None, :, :]).reshape(9, -1)
-            data = self._fill(mass)
+            data = self.geometry.fill(mass)
 
         indices, indptr = self._indices, self._indptr
         if interior:
-            keep, indices, indptr = self._interior_pattern()
+            keep, indices, indptr = self.geometry.interior_pattern()
             data = data[keep]
         n = indptr.shape[0] - 1
         return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
     def h1_matrix(self):
-        """Gram matrix of the discrete H1 inner product (stiffness + mass);
-        it probes no problem, so ``observed`` is left as it was."""
-        observed = dict(self.observed)
-        gram = self.jacobian(np.zeros(self.n_dofs), _H1)
-        self.observed = observed
-        return gram
+        """Gram matrix of the discrete H1 inner product, the Jacobian of
+        -lap u + u as ``jacobian`` sums it, in a matrix of its own; its values
+        are summed once per geometry, and it leaves ``observed`` as it was."""
+        def build():
+            ones = np.ones_like(self.qx)
+            stiffness = self.geometry.fill((self.det * (self.w @ ones)) * self._stiff)
+            return (stiffness + self.geometry.fill(self.det * (self._mass_table @ ones)),)
+        data = self.geometry.shared("h1", build)[0].copy()
+        return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
+                             shape=(self.n_dofs, self.n_dofs))
 
 
 def assemble_residual(u, prob, mesh, tris, dofmap, degree=DEFAULT_DEGREE):

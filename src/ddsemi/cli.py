@@ -308,10 +308,11 @@ def cmd_run(cfg):
     os.makedirs(out, exist_ok=True)
     timing = cfg["timing"] == "on"
     summaries = []
+    methods = _methods(cfg)
     for h in _h_list(cfg):
         exp = Experiment(cfg, h)
-        for method in _methods(cfg):
-            report, s_used = exp.run_method(method)
+        results = _map(exp.run_method, methods, int(cfg["workers"]))
+        for method, (report, s_used) in zip(methods, results):
             csv_path = os.path.join(out, f"{method}_h{_h_tag(h)}.csv")
             _write_report_csv(report, csv_path, timing)
             summary = report.summary(h=h, s=s_used)

@@ -245,12 +245,11 @@ class RelativeFieldError:
 
     e = (||u1 - r1|| + ||u2 - r2||) / (||r1|| + ||r2||) with per-subdomain
     H1 norms and r_i the reference restricted to subdomain i. The H1 Gram
-    matrix of a side comes from one of ``assemblers`` that has the side's
-    dof map and quadrature ``degree``, else from a new assembler; both give
-    the same matrix bit for bit.
+    values of a side are those of its shared geometry, so a meter on the
+    workspaces' decomposition and degree assembles none of its own.
     """
 
-    def __init__(self, mesh, decomp, reference, degree=4, assemblers=()):
+    def __init__(self, mesh, decomp, reference, degree=4):
         data = reference.field.data if hasattr(reference, "field") else \
             np.asarray(getattr(reference, "data", reference), dtype=float)
         if data.shape[0] != decomp.global_dofmap().n_dofs:
@@ -259,11 +258,8 @@ class RelativeFieldError:
         self._ref = []
         denom = 0.0
         for side in (1, 2):
-            dofmap = decomp.side_dofmap(side)
-            asm = next((a for a in assemblers
-                        if a.dofmap is dofmap and a.rule.degree == degree), None) \
-                or Assembler(mesh, decomp.side_triangles(side), dofmap, degree)
-            h1 = asm.h1_matrix()
+            h1 = Assembler(mesh, decomp.side_triangles(side), decomp.side_dofmap(side),
+                           degree).h1_matrix()
             ref = decomp.restrict(data, side)
             self._h1.append(h1)
             self._ref.append(ref)
@@ -326,8 +322,7 @@ def _run_method(method, cfg, ws1, ws2, reference, on_step, steps):
     building the steps is billed to row 0. An inner Newton failure ends
     every method as "solver-failure", keeping the rows recorded so far.
     """
-    meter = None if reference is None else \
-        RelativeFieldError(ws1.mesh, ws1.decomp, reference, assemblers=(ws1.asm, ws2.asm))
+    meter = None if reference is None else RelativeFieldError(ws1.mesh, ws1.decomp, reference)
     eta0 = cfg.eta0.copy() if cfg.eta0 is not None else \
         InterfaceVector(np.zeros(ws1.decomp.n_interface))
     rec = _RowRecorder(ws1, ws2, meter, on_step)

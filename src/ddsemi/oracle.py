@@ -19,7 +19,7 @@ from .assembly import DEFAULT_DEGREE, Assembler, FieldVector
 from .mesh import mesh_global_dofmap
 from .problems import P_LAPLACE
 from .quadrature import quadrature_rule
-from .subdomain import sparse_newton
+from .subdomain import shared_order, sparse_newton
 
 DENSE_NODE_LIMIT = 60
 
@@ -119,7 +119,7 @@ def solve_monolithic(prob, mesh, degree=DEFAULT_DEGREE, newton_rtol=1e-12,
     u, iters, rnorm = sparse_newton(
         lambda v: asm.residual(v, prob),
         lambda v: asm.jacobian(v, prob),
-        np.zeros(dofmap.n_dofs), tol, newton_max)
+        np.zeros(dofmap.n_dofs), tol, newton_max, order=shared_order(asm))
     if path is not None:
         _cache_write(path, key, {"width": mesh.width, "height": mesh.height,
                                  "h": mesh.h, "problem": prob.name}, u)

@@ -13,8 +13,9 @@ coupled solve over interior and interface unknowns. All four nonlinear
 solves run one Newton kernel, which reuses the held factor of its kind
 across Newton steps and solves (chord Newton), and every sparse
 factorization goes through one helper and one entry point, ``splu``:
-LAPACK's banded Cholesky on a reverse Cuthill-McKee order for narrow
-symmetric positive definite matrices, SuperLU for all others.
+LAPACK's banded Cholesky on a reverse Cuthill-McKee order, built once per
+pattern (``shared_order``), for narrow symmetric positive definite
+matrices, SuperLU for all others.
 """
 
 import ctypes
@@ -145,8 +146,19 @@ class BandOrder:
 
 
 def _order_for(jac, order):
-    """order when it fits jac's pattern, else jac's own BandOrder."""
+    """order when it fits jac's pattern, else jac's own BandOrder; an order
+    given as a function (see ``shared_order``) is called first."""
+    if callable(order):
+        order = order()
     return order if order is not None and order.fits(jac) else BandOrder(jac)
+
+
+def shared_order(asm, interior=False):
+    """Function giving the BandOrder of the Jacobian pattern of ``asm`` (or of its
+    interior block), built once and kept for all by the assembler's geometry."""
+    geometry = asm.geometry
+    return lambda: geometry.shared(("order", interior),
+                                   lambda: BandOrder(geometry.pattern(interior)))
 
 
 def _openblas_threads():
@@ -265,7 +277,8 @@ except (AttributeError, OSError, TypeError):  # not glibc
 class HeldFactor:
     """The factors of one solve kind, kept across Newton steps and solves,
     and the BandOrder of their pattern, which is recomputed only when the
-    pattern changes.
+    pattern changes; it starts from ``order`` (a BandOrder, a ``shared_order``
+    function or None).
 
     ``solve`` is the solve function of the last linearization factored, or
     None; ``factorizations`` counts the factorizations. A replaced factor is
@@ -278,9 +291,9 @@ class HeldFactor:
     order: a banded order falls back to SuperLU on an indefinite matrix.
     """
 
-    def __init__(self):
+    def __init__(self, order=None):
         self.solve = None
-        self.order = None
+        self.order = order
         self.factorizations = 0
 
     def refactor(self, factor, jac):
@@ -338,11 +351,12 @@ def _at_rounding_floor(jac, u, rnorm):
     return rnorm <= 1e3 * floor
 
 
-def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held=None):
+def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held=None, order=None):
     """Damped Newton with sparse direct solves, Euclidean merit function and
     Armijo backtracking; with a HeldFactor ``held``, chord steps reuse its
     factor (see splitting.damped_newton). Without one, every step refactors
-    on one BandOrder, rebuilt only when the Jacobian's pattern changes.
+    on one BandOrder, starting from ``order`` (as for HeldFactor) and
+    rebuilt only when the Jacobian's pattern changes.
 
     Returns (u, iterations, residual_norm). Raises SingularJacobian when a
     factorization fails and NonConvergence (with history) otherwise. A
@@ -351,8 +365,6 @@ def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held=None):
     in diverging outer iterations) returns the floor-accurate solution
     instead of raising.
     """
-    order = None
-
     def factor(jac):
         nonlocal order
         order = _order_for(jac, order)
@@ -402,8 +414,11 @@ class SubdomainWorkspace:
         # up to two (datum, field) pairs per solve kind, newest last
         self._pairs = {kind: () for kind in ("dirichlet", "neumann", "robin", "correction")}
         self._robin_s = None  # the Robin parameter of the Robin pairs
-        self._held = {kind: HeldFactor() for kind in
-                      ("dirichlet", "neumann", "robin", "correction", "tangent")}
+        # the constrained solves factor the interior block, the others the
+        # whole Jacobian (Robin adds a penalty on its pattern)
+        full, interior = shared_order(self.asm), shared_order(self.asm, interior=True)
+        self._held = {kind: HeldFactor(interior if kind in ("dirichlet", "tangent") else full)
+                      for kind in ("dirichlet", "neumann", "robin", "correction", "tangent")}
         self._tangent = None  # (nu bytes, jacobian at the constrained solution)
         # (problem, field, interface block) of the last residual a solve assembled
         self._last_residual = None

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddsemi import assembly
 from ddsemi.assembly import (Assembler, FieldVector, NonFiniteCoefficient, _require_finite,
                              assemble_jacobian, assemble_residual, interface_mass_matrix)
 from ddsemi.mesh import (DofMap, TriMesh, build_rect_mesh, decompose_staircase,
@@ -13,7 +19,7 @@ from ddsemi.oracle import dense_brute_force, mesh_global_dofmap
 from ddsemi.problems import (SEMILINEAR, SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
 from ddsemi.splitting import NonConvergence
-from ddsemi.subdomain import SubdomainWorkspace
+from ddsemi.subdomain import SubdomainWorkspace, shared_order
 
 
 def free_triangle_dofmap(mesh, tri_index):
@@ -595,6 +601,129 @@ class TestInteriorBlock:
                               (block.data, sliced.data)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+def counted_geometries(monkeypatch):
+    """List that gets the arguments of every Geometry built from now on."""
+    built = []
+
+    class Counted(assembly.Geometry):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(assembly, "Geometry", Counted)
+    return built
+
+
+def geometry_arrays(asm):
+    """Every array of the assembler's geometry, the ones built on first use
+    (interior pattern, H1 Gram values, band orders) included."""
+    asm.jacobian(np.zeros(asm.n_dofs), cubic_reaction_problem(), interior=True)
+    asm.h1_matrix()
+    shared_order(asm)()
+    shared_order(asm, interior=True)()
+    geometry = asm.geometry
+    assert set(geometry._shared) == {"interior", "h1", ("order", False), ("order", True)}
+    arrays = [a for a in vars(geometry).values() if isinstance(a, np.ndarray)]
+    for value in geometry._shared.values():
+        parts = value if isinstance(value, tuple) else vars(value).values()
+        arrays += [a for a in parts if isinstance(a, np.ndarray)]
+    return arrays
+
+
+class TestSharedGeometry:
+    def test_workspaces_on_one_side_share_arrays(self):
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_vertical(m, 1.5)
+        a, b = (SubdomainWorkspace(m, d, cubic_reaction_problem(), 2) for _ in range(2))
+        other = SubdomainWorkspace(m, d, cubic_reaction_problem(), 1)
+        assert a.asm.geometry is b.asm.geometry is not other.asm.geometry
+        for name, value in vars(a.asm.geometry).items():
+            assert getattr(a.asm, name) is getattr(b.asm, name) is value
+        assert a.asm.observed is not b.asm.observed
+        assert a.asm._integrals is not b.asm._integrals
+
+    def test_shared_arrays_are_read_only(self):
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_vertical(m, 1.5)
+        asm = Assembler(m, d.side_triangles(1), d.side_dofmap(1))
+        arrays = geometry_arrays(asm)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        # the caller's triangle list is left writeable
+        tris = np.array(d.side_triangles(1))
+        Assembler(m, tris, d.side_dofmap(1))
+        assert tris.flags.writeable
+
+    def test_distinct_data_get_distinct_geometries(self, monkeypatch):
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_vertical(m, 1.5)
+        tris, dofmap = d.side_triangles(1), d.side_dofmap(1)
+        base = Assembler(m, tris, dofmap)
+        built = counted_geometries(monkeypatch)
+        assert Assembler(m, tris.copy(), dofmap).geometry is base.geometry
+        assert Assembler(m, list(tris), dofmap).geometry is base.geometry
+        assert built == []
+        others = [Assembler(m, tris, dofmap, degree=2),
+                  Assembler(m, tris, mesh_global_dofmap(m)),
+                  Assembler(m, tris[:-1], dofmap),
+                  Assembler(build_rect_mesh(3, 2, 0.25), tris, dofmap)]
+        assert len(built) == len(others)
+        geometries = {id(asm.geometry) for asm in others}
+        assert len(geometries) == len(others) and id(base.geometry) not in geometries
+
+    @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
+    def test_entry_goes_with_its_last_holder(self, make_problem):
+        m = build_rect_mesh(3, 2, 0.25)
+        d = decompose_vertical(m, 1.5)
+        prob = make_problem()
+        holders = [Assembler(m, d.side_triangles(2), d.side_dofmap(2)) for _ in range(2)]
+        w = 0.5 * np.random.default_rng(3).standard_normal(holders[0].n_dofs)
+        r = holders[0].residual(w, prob)
+        jac = holders[1].jacobian(w, prob)
+        gram = holders[0].h1_matrix()
+        entry = weakref.ref(holders[0].geometry)
+        del holders[0]
+        gc.collect()
+        assert entry() is not None
+        holders.clear()
+        gc.collect()
+        assert entry() is None
+        assert all(g.mesh is not m for g in assembly._GEOMETRIES.values())
+        again = Assembler(m, d.side_triangles(2), d.side_dofmap(2))
+        assert again.residual(w, prob).tobytes() == r.tobytes()
+        rebuilt = again.jacobian(w, prob)
+        for got, want in ((rebuilt, jac), (again.h1_matrix(), gram)):
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_concurrent_builds_make_one_geometry(self, monkeypatch):
+        # eight threads, more than the cores, with frequent thread switches
+        m = build_rect_mesh(3, 2, 1 / 16)
+        d = decompose_vertical(m, 1.5)
+        built = counted_geometries(monkeypatch)
+        start = threading.Barrier(8, timeout=60)
+
+        def build(_):
+            start.wait()
+            asm = Assembler(m, d.side_triangles(1), d.side_dofmap(1))
+            return asm, asm.geometry.interior_pattern()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(build, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        first, pattern = results[0]
+        for asm, got in results[1:]:
+            assert asm.geometry is first.geometry and got is pattern
+            for name, value in vars(first.geometry).items():
+                assert getattr(asm, name) is value
 
 
 class TestFieldVector:

@@ -104,7 +104,8 @@ class TestRunCommand:
 
     def test_all_methods_deterministic_across_runs_and_workers(self, tmp_path):
         # each workspace keeps its own solve history, so neither a second run
-        # nor a second worker can change a byte of the output
+        # nor running the methods on two threads, whose workspaces share one
+        # geometry per side, can change a byte of the output
         outs = []
         for name, workers in (("a", "1"), ("b", "1"), ("c", "2")):
             out = tmp_path / name
@@ -306,6 +307,19 @@ class TestWorkerPool:
     def test_pool_is_capped_at_the_usable_cpus(self, pools, workers, size):
         assert cli._map(lambda x: 2 * x, range(5), workers) == [0, 2, 4, 6, 8]
         assert pools == [size]
+
+    def test_run_maps_its_methods_on_the_pool(self, pools, tmp_path, capsys):
+        # one pool per mesh; lines and summary keep the method order
+        out = tmp_path / "o"
+        assert run_cli("run", "--method", "all", "--h", "1/4,1/2", "--workers", "2",
+                       "--output-dir", str(out), "--no-timing") == 0
+        assert pools == [2, 2]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            [m, f"h={h}:"] for h in ("0.25", "0.5") for m in ("dn", "rr", "nn")]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(s["method"], s["h"]) for s in summary] == [
+            (m, h) for h in (0.25, 0.5) for m in ("dn", "rr", "nn")]
 
     def test_one_worker_runs_serially(self, pools):
         assert cli._map(lambda x: x + 1, [1, 2], 1) == [2, 3]

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ddsemi import iterations
+from ddsemi import assembly, iterations
 from ddsemi.assembly import Assembler
 from ddsemi.iterations import (DNConfig, EquivalenceViolation, IterationRow,
                                MeshMismatch, MethodReport, NNConfig,
@@ -71,20 +71,22 @@ class TestComputeError:
 
     @pytest.mark.parametrize("degree", [1, 2, 4])
     def test_meter_on_workspace_assemblers(self, cubic_setup, monkeypatch, degree):
-        # the workspaces' assemblers serve the meter only at its own degree,
-        # and the errors are those of a meter with assemblers of its own
+        # the meter shares the workspaces' geometries, and with them their H1
+        # Gram values, only at its own degree, and its errors are those of a
+        # meter built alone
         prob, mesh, decomp, ref = cubic_setup
+        own = RelativeFieldError(mesh, decomp, ref)
         ws1 = SubdomainWorkspace(mesh, decomp, prob, 1, degree)
         ws2 = SubdomainWorkspace(mesh, decomp, prob, 2, degree)
-        own = RelativeFieldError(mesh, decomp, ref)
         built = []
 
-        def counted(*args):
-            built.append(args)
-            return Assembler(*args)
+        class Counted(assembly.Geometry):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(iterations, "Assembler", counted)
-        shared = RelativeFieldError(mesh, decomp, ref, assemblers=(ws2.asm, ws1.asm))
+        monkeypatch.setattr(assembly, "Geometry", Counted)
+        shared = RelativeFieldError(mesh, decomp, ref)
         assert len(built) == (0 if degree == 4 else 2)
         etas = []
         rep = run_dirichlet_neumann(DNConfig(s=0.36, max_iter=2), ws1, ws2, ref,

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import SuperLU
 
 from ddsemi import subdomain
 from ddsemi.assembly import Assembler, interface_mass_matrix
+from ddsemi.iterations import DNConfig, run_dirichlet_neumann
 from ddsemi.mesh import build_rect_mesh, decompose_staircase, decompose_vertical
 from ddsemi.oracle import dense_brute_force, mesh_global_dofmap, solve_monolithic
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
@@ -817,6 +818,34 @@ class TestFactorization:
         monkeypatch.setattr(subdomain, "_order_for", lambda jac, order: CountedOrder(jac))
         assert solve_monolithic(prob, mesh).field.data.tobytes() == ref.field.data.tobytes()
         assert len(builds) == 1 + ref.newton_iterations
+
+    def test_fresh_workspaces_reuse_the_orders(self, monkeypatch):
+        # the band orders live in the side's shared geometry: a second DN run
+        # on fresh workspaces of the same decomposition builds none, and every
+        # solve kind starts from the order of its pattern
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 8)
+        decomp = decompose_vertical(mesh, 1.5)
+        ref = solve_monolithic(prob, mesh)
+        cfg = DNConfig(s=0.36, stop_tol=1e-10)
+        first = [SubdomainWorkspace(mesh, decomp, prob, side) for side in (1, 2)]
+        done = run_dirichlet_neumann(cfg, *first, ref)
+        builds = []
+
+        class CountedOrder(subdomain.BandOrder):
+            def __init__(self, a):
+                builds.append(a.shape)
+                super().__init__(a)
+
+        monkeypatch.setattr(subdomain, "BandOrder", CountedOrder)
+        second = [SubdomainWorkspace(mesh, decomp, prob, side) for side in (1, 2)]
+        again = run_dirichlet_neumann(cfg, *second, ref)
+        assert builds == []
+        assert again.converged and again.factorizations == done.factorizations > 0
+        assert again.errors.tobytes() == done.errors.tobytes()
+        ws1, ws2 = second
+        for ws, kind in ((ws1, "dirichlet"), (ws2, "dirichlet"), (ws2, "neumann")):
+            assert ws._held[kind].order is first[ws.side - 1]._held[kind].order
+        assert ws2._held["dirichlet"].order.k < ws2._held["neumann"].order.k
 
 
 def _spd_band_matrix(n=40):
