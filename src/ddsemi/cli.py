@@ -13,6 +13,7 @@ import argparse
 import importlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,37 +31,7 @@ from .subdomain import SubdomainWorkspace
 
 DESK_MESHES = "1/16,1/32,1/64"
 FULL_MESHES = "1/64,1/128,1/256"
-
-DEFAULTS = {
-    "problem": "example1",
-    "method": "dn",
-    "width": "3",
-    "height": "2",
-    "h": DESK_MESHES,
-    "interface": "vertical:1.5",
-    "s": "",            # per-problem default filled in later
-    "s_rr": "46",
-    "s1": "0.02",
-    "s2": "0.02",
-    "eta0": "zero",
-    "max_iter": "400",
-    "stop_tol": "1e-12",
-    "newton_tol": "1e-12",
-    "newton_max": "50",
-    "degree": "4",
-    "output_dir": "results",
-    "seed": "0",
-    "workers": "1",
-    "timing": "on",
-    "full_scale": "off",
-    # sweep-specific
-    "s_min": "0.05",
-    "s_max": "1.6",
-    "s_count": "12",
-    "s_values": "",
-    "sweep_tol": "1e-6",
-}
-
+METHODS = ("dn", "rr", "nn")
 S_DN_DEFAULT = {"example1": 0.36, "example2-plaplace": 0.31}
 
 
@@ -71,11 +42,114 @@ class ConfigError(ValueError):
 def parse_h(text):
     try:
         h = float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse mesh size {text!r}") from exc
     if not h > 0:
         raise ConfigError(f"mesh size must be positive (got {text!r})")
     return h
+
+
+# Value parsers: parse(key, text) returns the typed value or raises ConfigError.
+
+def _text(key, raw):
+    return raw
+
+
+def _number(positive=True, optional=False):
+    def parse(key, raw):
+        if optional and raw == "":
+            return None
+        try:
+            val = float(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be a number (got {raw!r})") from None
+        if not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite (got {raw!r})")
+        if positive and not val > 0:
+            raise ConfigError(f"{key} must be positive (got {raw!r})")
+        return val
+    return parse
+
+
+def _integer(minimum=None):
+    def parse(key, raw):
+        try:
+            val = int(raw)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer (got {raw!r})") from None
+        if minimum is not None and val < minimum:
+            raise ConfigError(f"{key} must be at least {minimum}")
+        return val
+    return parse
+
+
+def _degree(key, raw):
+    degree = _integer()(key, raw)
+    if degree not in (1, 2, 4):
+        raise ConfigError(f"degree must be 1, 2 or 4 (got {raw!r})")
+    return degree
+
+
+def _choice(options, message):
+    """Parser mapping each allowed text to its value; ``message`` is formatted
+    with the key and the raw text when the text is not allowed."""
+    def parse(key, raw):
+        if raw not in options:
+            raise ConfigError(message.format(key=key, raw=raw))
+        return options[raw]
+    return parse
+
+
+def _mesh_sizes(key, raw):
+    hs = [parse_h(tok) for tok in raw.split(",") if tok.strip()]
+    if not hs:
+        raise ConfigError("no mesh sizes given")
+    return hs
+
+
+def _numbers(key, raw):
+    number = _number(positive=False)
+    return [number(key, tok) for tok in map(str.strip, raw.split(",")) if tok]
+
+
+_SWITCH = _choice({"on": True, "off": False}, "{key} must be 'on' or 'off'")
+
+# Every configuration key once: key -> (default text, parser, help). Each key
+# is a config-file key and a --key-name flag of every command.
+KEYS = {
+    "problem": ("example1", _text, "example1 | example2-plaplace | custom:module:factory"),
+    "method": ("dn", _choice({"all": METHODS, **{m: (m,) for m in METHODS}},
+                             f"unknown method {{raw!r}} ({', '.join(METHODS)} or all)"),
+               " | ".join(METHODS + ("all",))),
+    "width": ("3", _number(), "rectangle width"),
+    "height": ("2", _number(), "rectangle height"),
+    "h": (DESK_MESHES, _mesh_sizes, "comma-separated mesh sizes, e.g. 1/16,1/32"),
+    "interface": ("vertical:1.5", _text, "vertical:X or staircase:x,y;x,y;..."),
+    "s": ("", _number(optional=True), "DN relaxation parameter (default per problem)"),
+    "s_rr": ("46", _number(), "Robin parameter"),
+    "s1": ("0.02", _number(), "NN correction weight of side 1"),
+    "s2": ("0.02", _number(), "NN correction weight of side 2"),
+    "eta0": ("zero", _choice({"zero": "zero", "": "zero", "reference": "reference"},
+                             "eta0 must be 'zero' or 'reference' (got {raw!r})"),
+             "zero | reference"),
+    "max_iter": ("400", _integer(1), "outer iteration budget"),
+    "stop_tol": ("1e-12", _number(), "interface residual stopping tolerance"),
+    "newton_tol": ("1e-12", _number(), "inner Newton tolerance"),
+    "newton_max": ("50", _integer(1), "inner Newton budget"),
+    "degree": ("4", _degree, "quadrature degree: 1, 2 or 4"),
+    "output_dir": ("results", _text, "artifact directory"),
+    "seed": ("0", _integer(), "recorded in summaries"),
+    "workers": ("1", _integer(1), "worker threads"),
+    "timing": ("on", _SWITCH, "on | off (off zeroes the seconds column)"),
+    "full_scale": ("off", _SWITCH, "use the fine mesh family 1/64,1/128,1/256"),
+    "s_min": ("0.05", _number(positive=False), "smallest s of the geometric sweep grid"),
+    "s_max": ("1.6", _number(positive=False), "largest s of the geometric sweep grid"),
+    "s_count": ("12", _integer(), "number of points of the geometric sweep grid"),
+    "s_values": ("", _numbers, "comma-separated sweep values (override the grid)"),
+    "sweep_tol": ("1e-6", _number(), "error target for iterations-to-tolerance"),
+}
+
+DEFAULTS = {key: default for key, (default, _, _) in KEYS.items()}
 
 
 def _h_tag(h):
@@ -83,6 +157,10 @@ def _h_tag(h):
     if abs(inv - round(inv)) < 1e-9:
         return str(int(round(inv)))
     return repr(h).replace(".", "p")
+
+
+def _csv_name(method, h):
+    return f"{method}_h{_h_tag(h)}.csv"
 
 
 def load_config(path):
@@ -97,59 +175,21 @@ def load_config(path):
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, val = (part.strip() for part in line.split("=", 1))
-                if key not in DEFAULTS:
+                if key not in KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
 def validate_config(cfg):
-    """Reject malformed values up front so they exit with code 2."""
-    def number(key, positive=False, optional=False):
-        raw = cfg[key]
-        if optional and raw == "":
-            return None
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number (got {raw!r})") from None
-        if positive and not val > 0:
-            raise ConfigError(f"{key} must be positive (got {raw!r})")
-        return val
-
-    def integer(key, minimum=None):
-        try:
-            val = int(cfg[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer (got {cfg[key]!r})") from None
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}")
-        return val
-
-    number("width", positive=True)
-    number("height", positive=True)
-    number("s", positive=True, optional=True)
-    number("s_rr", positive=True)
-    number("s1", positive=True)
-    number("s2", positive=True)
-    number("stop_tol", positive=True)
-    number("newton_tol", positive=True)
-    number("sweep_tol", positive=True)
-    integer("max_iter", 1)
-    integer("newton_max", 1)
-    integer("seed")
-    integer("workers", 1)
-    if integer("degree") not in (1, 2, 4):
-        raise ConfigError(f"degree must be 1, 2 or 4 (got {cfg['degree']!r})")
-    for key in ("timing", "full_scale"):
-        if cfg[key] not in ("on", "off"):
-            raise ConfigError(f"{key} must be 'on' or 'off'")
-    if cfg["eta0"] not in ("zero", "reference", ""):
-        raise ConfigError(f"eta0 must be 'zero' or 'reference' (got {cfg['eta0']!r})")
-    _h_list(cfg)
-    _methods(cfg)
+    """Parse every key of a merged configuration into its typed value, so a
+    malformed value exits with code 2 before any work starts."""
+    typed = {key: parse(key, cfg[key]) for key, (_, parse, _) in KEYS.items()}
+    if typed["s"] is None:
+        typed["s"] = S_DN_DEFAULT.get(typed["problem"], 0.36)
+    return typed
 
 
 def make_problem(spec):
@@ -175,14 +215,14 @@ def make_decomposition(mesh, spec):
     if kind == "vertical":
         try:
             return decompose_vertical(mesh, float(Fraction(rest)))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad vertical interface {spec!r}: {exc}") from exc
     if kind == "staircase":
         try:
             points = [tuple(float(Fraction(c)) for c in pt.split(","))
                       for pt in rest.split(";") if pt.strip()]
             return decompose_staircase(mesh, points)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad staircase interface {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown interface spec {spec!r} (vertical:X or staircase:...)")
 
@@ -204,55 +244,33 @@ class Experiment:
 
     def __init__(self, cfg, h):
         self.cfg = cfg
-        self.h = h
         self.problem = make_problem(cfg["problem"])
-        self.mesh = build_rect_mesh(float(cfg["width"]), float(cfg["height"]), h)
+        self.mesh = build_rect_mesh(cfg["width"], cfg["height"], h)
         self.decomp = make_decomposition(self.mesh, cfg["interface"])
-        cache_dir = os.path.join(cfg["output_dir"], "cache")
-        self.reference = solve_monolithic(self.problem, self.mesh,
-                                          degree=int(cfg["degree"]),
-                                          newton_rtol=float(cfg["newton_tol"]),
-                                          newton_max=int(cfg["newton_max"]),
-                                          cache_dir=cache_dir)
+        self.reference = solve_monolithic(self.problem, self.mesh, degree=cfg["degree"],
+                                          newton_rtol=cfg["newton_tol"],
+                                          newton_max=cfg["newton_max"],
+                                          cache_dir=os.path.join(cfg["output_dir"], "cache"))
 
-    def workspaces(self):
-        return tuple(SubdomainWorkspace(self.mesh, self.decomp, self.problem, side,
-                                        degree=int(self.cfg["degree"]),
-                                        newton_rtol=float(self.cfg["newton_tol"]),
-                                        newton_max=int(self.cfg["newton_max"]))
-                     for side in (1, 2))
-
-    def eta0(self):
-        # validate_config admits only "zero", "reference" and ""
-        if self.cfg["eta0"] == "reference":
-            return self.reference.trace(self.decomp)
-        return None
-
-    def s_dn(self):
-        if self.cfg["s"]:
-            return float(self.cfg["s"])
-        return S_DN_DEFAULT.get(self.cfg["problem"], 0.36)
-
-    def run_method(self, method, s=None, max_iter=None):
-        ws1, ws2 = self.workspaces()
-        stop_tol = float(self.cfg["stop_tol"])
-        max_iter = max_iter or int(self.cfg["max_iter"])
-        eta0 = self.eta0()
+    def run_method(self, method, s=None):
+        """Run one method from fresh workspaces; ``s`` overrides its
+        configured parameter (both weights for NN)."""
+        cfg = self.cfg
+        ws1, ws2 = (SubdomainWorkspace(self.mesh, self.decomp, self.problem, side,
+                                       degree=cfg["degree"], newton_rtol=cfg["newton_tol"],
+                                       newton_max=cfg["newton_max"])
+                    for side in (1, 2))
+        eta0 = self.reference.trace(self.decomp) if cfg["eta0"] == "reference" else None
+        common = dict(eta0=eta0, max_iter=cfg["max_iter"], stop_tol=cfg["stop_tol"])
         if method == "dn":
-            run_cfg = DNConfig(s=s if s is not None else self.s_dn(), eta0=eta0,
-                               max_iter=max_iter, stop_tol=stop_tol)
-            report = run_dirichlet_neumann(run_cfg, ws1, ws2, self.reference)
-            return report, run_cfg.s
+            run_cfg = DNConfig(s=cfg["s"] if s is None else s, **common)
+            return run_dirichlet_neumann(run_cfg, ws1, ws2, self.reference), run_cfg.s
         if method == "rr":
-            run_cfg = RRConfig(s=s if s is not None else float(self.cfg["s_rr"]),
-                               eta0=eta0, max_iter=max_iter, stop_tol=stop_tol)
-            report = run_robin_robin(run_cfg, ws1, ws2, self.reference)
-            return report, run_cfg.s
+            run_cfg = RRConfig(s=cfg["s_rr"] if s is None else s, **common)
+            return run_robin_robin(run_cfg, ws1, ws2, self.reference), run_cfg.s
         if method == "nn":
-            s1 = s if s is not None else float(self.cfg["s1"])
-            s2 = s if s is not None else float(self.cfg["s2"])
-            run_cfg = NNConfig(s1=s1, s2=s2, eta0=eta0,
-                               max_iter=max_iter, stop_tol=stop_tol)
+            run_cfg = NNConfig(s1=cfg["s1"] if s is None else s,
+                               s2=cfg["s2"] if s is None else s, **common)
             report = run_neumann_neumann(run_cfg, ws1, ws2, self.reference)
             return report, [run_cfg.s1, run_cfg.s2]
         raise ConfigError(f"unknown method {method!r}")
@@ -265,31 +283,15 @@ def _merge_config(args):
         file_values = load_config(args.config)
         cfg.update(file_values)
         explicit.update(file_values)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
+    for key in KEYS:
+        val = getattr(args, key)
         if val is not None:
-            cfg[key] = str(val)
+            cfg[key] = val
             explicit.add(key)
     # full_scale switches the default mesh family; an explicit h wins
     if cfg["full_scale"] == "on" and "h" not in explicit:
         cfg["h"] = FULL_MESHES
     return cfg
-
-
-def _h_list(cfg):
-    hs = [parse_h(tok) for tok in cfg["h"].split(",") if tok.strip()]
-    if not hs:
-        raise ConfigError("no mesh sizes given")
-    return hs
-
-
-def _methods(cfg):
-    m = cfg["method"]
-    if m == "all":
-        return ["dn", "rr", "nn"]
-    if m in ("dn", "rr", "nn"):
-        return [m]
-    raise ConfigError(f"unknown method {m!r} (dn, rr, nn or all)")
 
 
 def _map(fn, items, workers):
@@ -302,76 +304,54 @@ def _map(fn, items, workers):
     return [fn(item) for item in items]
 
 
+def _run_methods(cfg, h, methods):
+    """Run ``methods`` on mesh size h on the worker pool and write each one's
+    CSV; return their reports and summaries, in method order."""
+    exp = Experiment(cfg, h)
+    reports, summaries = [], []
+    for method, (report, s_used) in zip(methods, _map(exp.run_method, methods,
+                                                       cfg["workers"])):
+        _write_report_csv(report, os.path.join(cfg["output_dir"], _csv_name(method, h)),
+                          cfg["timing"])
+        reports.append(report)
+        summaries.append(dict(report.summary(h=h, s=s_used), problem=cfg["problem"]))
+    return reports, summaries
+
+
 def cmd_run(cfg):
-    validate_config(cfg)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    timing = cfg["timing"] == "on"
     summaries = []
-    methods = _methods(cfg)
-    for h in _h_list(cfg):
-        exp = Experiment(cfg, h)
-        results = _map(exp.run_method, methods, int(cfg["workers"]))
-        for method, (report, s_used) in zip(methods, results):
-            csv_path = os.path.join(out, f"{method}_h{_h_tag(h)}.csv")
-            _write_report_csv(report, csv_path, timing)
-            summary = report.summary(h=h, s=s_used)
-            summary["csv"] = os.path.basename(csv_path)
-            summary["problem"] = cfg["problem"]
-            summary["seed"] = int(cfg["seed"])
-            summaries.append(summary)
+    for h in cfg["h"]:
+        reports, mesh_summaries = _run_methods(cfg, h, cfg["method"])
+        for method, report, summary in zip(cfg["method"], reports, mesh_summaries):
+            summary.update(csv=_csv_name(method, h), seed=cfg["seed"])
             print(f"{method} h={h:g}: {report.termination} after "
                   f"{report.iterations} iterations, final error "
                   f"{report.final_error:.3e}")
-    _dump_json(summaries, os.path.join(out, "summary.json"))
+        summaries += mesh_summaries
+    _dump_json(summaries, os.path.join(cfg["output_dir"], "summary.json"))
     return 0
 
 
 def cmd_compare(cfg):
-    validate_config(cfg)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    timing = cfg["timing"] == "on"
-    h = _h_list(cfg)[0]
-    exp = Experiment(cfg, h)
-    methods = ("dn", "rr", "nn")
-    results = _map(exp.run_method, methods, int(cfg["workers"]))
-
-    reports = {}
-    summaries = []
-    for method, (report, s_used) in zip(methods, results):
-        reports[method] = report
-        csv_path = os.path.join(out, f"{method}_h{_h_tag(h)}.csv")
-        _write_report_csv(report, csv_path, timing)
-        summary = report.summary(h=h, s=s_used)
-        summary["problem"] = cfg["problem"]
-        summaries.append(summary)
+    h = cfg["h"][0]
+    reports, summaries = _run_methods(cfg, h, METHODS)
+    for method, report in zip(METHODS, reports):
         print(f"{method}: {report.termination} after {report.iterations} iterations")
-
-    depth = max(len(r.rows) for r in reports.values())
-    lines = ["n,error_dn,error_rr,error_nn"]
-    for n in range(depth):
-        cells = [str(n)]
-        for method in ("dn", "rr", "nn"):
-            rows = reports[method].rows
-            if n < len(rows) and np.isfinite(rows[n].error):
-                cells.append(repr(float(rows[n].error)))
-            else:
-                cells.append("")
-        lines.append(",".join(cells))
-    atomic_write(os.path.join(out, f"compare_h{_h_tag(h)}.csv"),
+    lines = ["n," + ",".join(f"error_{method}" for method in METHODS)]
+    for n in range(max(len(r.rows) for r in reports)):
+        errors = [r.rows[n].error if n < len(r.rows) else np.nan for r in reports]
+        lines.append(",".join([str(n)] + [repr(float(e)) if np.isfinite(e) else ""
+                                          for e in errors]))
+    atomic_write(os.path.join(cfg["output_dir"], f"compare_h{_h_tag(h)}.csv"),
                  "\n".join(lines) + "\n")
-    _dump_json(summaries, os.path.join(out, "summary.json"))
+    _dump_json(summaries, os.path.join(cfg["output_dir"], "summary.json"))
     return 0
 
 
 def _sweep_grid(cfg):
-    try:
-        if cfg["s_values"]:
-            return [float(tok) for tok in cfg["s_values"].split(",") if tok.strip()]
-        lo, hi, count = float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_count"])
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep grid: {exc}") from None
+    if cfg["s_values"]:
+        return cfg["s_values"]
+    lo, hi, count = cfg["s_min"], cfg["s_max"], cfg["s_count"]
     if not (0 < lo < hi) or count < 2:
         raise ConfigError("sweep grid needs 0 < s_min < s_max and s_count >= 2")
     return list(np.geomspace(lo, hi, count))
@@ -388,16 +368,11 @@ def _sweep_cell(exp, method, s, tol):
 
 
 def cmd_sweep(cfg):
-    validate_config(cfg)
-    out = cfg["output_dir"]
-    os.makedirs(out, exist_ok=True)
-    h = _h_list(cfg)[0]
-    method = _methods(cfg)[0]
-    tol = float(cfg["sweep_tol"])
+    h, method, tol = cfg["h"][0], cfg["method"][0], cfg["sweep_tol"]
     grid = _sweep_grid(cfg)
     exp = Experiment(cfg, h)
 
-    cells = _map(lambda s: _sweep_cell(exp, method, s, tol), grid, int(cfg["workers"]))
+    cells = _map(lambda s: _sweep_cell(exp, method, s, tol), grid, cfg["workers"])
     cells.sort(key=lambda c: c["s"])
 
     lines = ["s,iterations_to_tol,converged,final_error,status"]
@@ -409,17 +384,22 @@ def cmd_sweep(cfg):
             "" if c["final_error"] is None else repr(float(c["final_error"])),
             c["status"],
         ]))
-    atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(cfg["output_dir"], "sweep.csv"), "\n".join(lines) + "\n")
 
     reached = [c for c in cells if c["iterations_to_tol"] is not None]
     best = min(reached, key=lambda c: (c["iterations_to_tol"], c["s"])) if reached else None
     _dump_json({"method": method, "h": h, "tol": tol, "cells": cells,
                 "best_s": None if best is None else best["s"]},
-               os.path.join(out, "sweep.json"))
+               os.path.join(cfg["output_dir"], "sweep.json"))
     for c in cells:
         print(f"s={c['s']:.4g}: {c['status']}, iterations to {tol:g} = "
               f"{c['iterations_to_tol']}")
     return 0
+
+
+COMMANDS = {"run": (cmd_run, "run one method over one or more meshes"),
+            "sweep": (cmd_sweep, "sweep the relaxation parameter"),
+            "compare": (cmd_compare, "run " + ", ".join(METHODS) + " on one mesh")}
 
 
 def build_parser():
@@ -428,51 +408,27 @@ def build_parser():
         description="Nonoverlapping domain-decomposition experiments for "
                     "semilinear elliptic problems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (("run", "run one method over one or more meshes"),
-                            ("sweep", "sweep the relaxation parameter"),
-                            ("compare", "run dn, rr and nn on one mesh")):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--problem", help="example1 | example2-plaplace | custom:module:factory")
-        p.add_argument("--method", help="dn | rr | nn | all")
-        p.add_argument("--width", type=float)
-        p.add_argument("--height", type=float)
-        p.add_argument("--h", help="comma-separated mesh sizes, e.g. 1/16,1/32")
-        p.add_argument("--interface", help="vertical:X or staircase:x,y;x,y;...")
-        p.add_argument("--s", help="relaxation parameter")
-        p.add_argument("--s-rr", dest="s_rr")
-        p.add_argument("--s1")
-        p.add_argument("--s2")
-        p.add_argument("--eta0", help="zero | reference")
-        p.add_argument("--max-iter", dest="max_iter")
-        p.add_argument("--stop-tol", dest="stop_tol")
-        p.add_argument("--newton-tol", dest="newton_tol")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--seed")
-        p.add_argument("--workers")
-        p.add_argument("--no-timing", dest="timing", action="store_const", const="off")
-        p.add_argument("--full-scale", dest="full_scale", action="store_const", const="on",
-                       help="use the fine mesh family 1/64,1/128,1/256")
-        if name == "sweep":
-            p.add_argument("--s-min", dest="s_min")
-            p.add_argument("--s-max", dest="s_max")
-            p.add_argument("--s-count", dest="s_count")
-            p.add_argument("--s-values", dest="s_values")
-            p.add_argument("--sweep-tol", dest="sweep_tol")
+        for key, (_, _, key_help) in KEYS.items():
+            flag = "--" + key.replace("_", "-")
+            if key == "full_scale":
+                p.add_argument(flag, dest=key, action="store_const", const="on",
+                               help=key_help)
+            else:
+                p.add_argument(flag, dest=key, help=key_help)
+        p.add_argument("--no-timing", dest="timing", action="store_const", const="off",
+                       help="same as --timing off")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        command = {"run": cmd_run, "sweep": cmd_sweep, "compare": cmd_compare}[args.command]
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return command(cfg)
+        cfg = validate_config(_merge_config(args))
+        os.makedirs(cfg["output_dir"], exist_ok=True)
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

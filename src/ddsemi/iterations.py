@@ -48,64 +48,62 @@ class EquivalenceViolation(RuntimeError):
         self.step = step
 
 
+@dataclass(kw_only=True)
+class MethodConfig:
+    """Parameters every interface method shares: initial trace, outer
+    iteration budget and interface residual stopping tolerance."""
+
+    eta0: InterfaceVector = None
+    max_iter: int = 200
+    stop_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not self.stop_tol > 0:
+            raise ValueError("stop_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+
+
 @dataclass
-class DNConfig:
+class DNConfig(MethodConfig):
     """Dirichlet-Neumann parameters: trace update is
     eta <- s * trace(neumann solve) + (1 - s) * eta."""
 
     s: float
-    eta0: InterfaceVector = None
-    max_iter: int = 200
-    stop_tol: float = 1e-10
     formulation: str = SUBDOMAIN_FORM
 
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError("relaxation parameter s must be positive")
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        super().__post_init__()
         if self.formulation not in (SUBDOMAIN_FORM, INTERFACE_FORM):
             raise ValueError(f"unknown formulation {self.formulation!r}")
 
 
 @dataclass
-class RRConfig:
+class RRConfig(MethodConfig):
     """Robin-Robin parameters; s weighs the interface L2 pairing."""
 
     s: float
-    eta0: InterfaceVector = None
-    max_iter: int = 200
-    stop_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError("Robin parameter s must be positive")
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        super().__post_init__()
 
 
 @dataclass
-class NNConfig:
+class NNConfig(MethodConfig):
     """Neumann-Neumann parameters: nonlinear zero-load correction solves on
     both sides, update eta <- eta - (s1 * trace(w1) + s2 * trace(w2))."""
 
     s1: float
     s2: float
-    eta0: InterfaceVector = None
-    max_iter: int = 200
-    stop_tol: float = 1e-10
 
     def __post_init__(self):
         if not (self.s1 > 0 and self.s2 > 0):
             raise ValueError("weights s1, s2 must be positive")
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("iteration limits must be at least 1")
+        super().__post_init__()
 
 
 @dataclass

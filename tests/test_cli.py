@@ -1,11 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ddsemi import cli
-from ddsemi.cli import (DEFAULTS, ConfigError, _write_report_csv, load_config, main,
-                        make_decomposition, make_problem, parse_h, validate_config)
+from ddsemi.cli import (DEFAULTS, KEYS, ConfigError, _merge_config, _write_report_csv,
+                        build_parser, load_config, main, make_decomposition,
+                        make_problem, parse_h, validate_config)
 from ddsemi.iterations import IterationRow, MethodReport
 from ddsemi.mesh import build_rect_mesh
 from ddsemi.oracle import atomic_write
@@ -63,6 +66,35 @@ s = 0.4
         assert cfg["h"] == FULL_MESHES
         cfg = _merge_config(parser.parse_args(["run", "--full-scale", "--h", "1/8"]))
         assert cfg["h"] == "1/8"
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_every_key_is_a_flag_of_every_command(self, command):
+        parser = build_parser()
+        for key in KEYS:
+            flag = "--" + key.replace("_", "-")
+            if key == "full_scale":
+                argv, expected = [flag], "on"
+            else:
+                argv, expected = [flag, f"v-{key}"], f"v-{key}"
+            cfg = _merge_config(parser.parse_args([command, *argv]))
+            assert cfg[key] == expected, flag
+
+    def test_readme_configuration_table_matches_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+        keys = set()
+        for line in section.splitlines():
+            if not line.startswith("| `"):
+                continue
+            key_cell, default_cell = line.split("|")[1:3]
+            row_keys = re.findall(r"`([^`]*)`", key_cell)
+            defaults = re.findall(r"`([^`]*)`", default_cell) or [""]
+            keys.update(row_keys)
+            if len(defaults) == 1:
+                defaults = defaults * len(row_keys)
+            if len(defaults) == len(row_keys):  # skips the per-problem `s` cell
+                assert dict(zip(row_keys, defaults)) == {k: DEFAULTS[k] for k in row_keys}
+        assert keys == set(DEFAULTS)
 
 
 class TestRunCommand:
@@ -161,6 +193,13 @@ class TestRunCommand:
         ("run", "--stop-tol", "-1"),
         ("run", "--eta0", "maybe"),
         ("sweep", "--s-values", "0.1,abc"),
+        ("run", "--stop-tol", "inf"),
+        ("run", "--newton-tol", "inf"),
+        ("run", "--s", "inf"),
+        ("run", "--width", "inf"),
+        ("sweep", "--s-values", "0.3,nan"),
+        ("run", "--h", "1e400"),
+        ("run", "--h", "1/4", "--interface", "vertical:1e400"),
     ])
     def test_malformed_values_exit_2(self, tmp_path, argv):
         assert run_cli(*argv, "--output-dir", str(tmp_path / "o")) == 2
@@ -169,6 +208,17 @@ class TestRunCommand:
     def test_fewer_than_one_worker_rejected(self, workers):
         with pytest.raises(ConfigError, match="workers must be at least 1"):
             validate_config(dict(DEFAULTS, workers=workers))
+
+    def test_undecodable_config_file_exits_2(self, tmp_path):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00h = 1/4\n")
+        assert run_cli("run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")) == 2
+
+    def test_malformed_sweep_key_in_config_fails_run(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("s_count = 1.5\nh = 1/4\n")
+        assert run_cli("run", "--config", str(cfg),
+                       "--output-dir", str(tmp_path / "o")) == 2
 
     def test_bad_degree_in_config_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -197,14 +247,14 @@ class TestSweepCommand:
 
         cfg = dict(DEFAULTS)
         cfg.update(s_values="", s_min="0.1", s_max="0.9", s_count="5")
-        grid = _sweep_grid(cfg)
+        grid = _sweep_grid(validate_config(cfg))
         assert len(grid) == 5
         assert grid[0] == pytest.approx(0.1) and grid[-1] == pytest.approx(0.9)
         ratios = np.diff(np.log(grid))
         assert np.allclose(ratios, ratios[0])  # geometric spacing
         cfg.update(s_min="0.9", s_max="0.1")
         with pytest.raises(ConfigError):
-            _sweep_grid(cfg)
+            _sweep_grid(validate_config(cfg))
 
     def test_sweep_table(self, tmp_path):
         out = tmp_path / "out"

@@ -39,6 +39,24 @@ def dense_side_steklov(prob, mesh, decomp, side):
     return oracle.linear_steklov(dm.n_interior)
 
 
+@pytest.mark.parametrize("cls, own", [
+    (DNConfig, {"s": 0.36}),
+    (RRConfig, {"s": 46.0}),
+    (NNConfig, {"s1": 0.02, "s2": 0.02}),
+])
+def test_method_configs_share_one_base(cls, own):
+    cfg = cls(**own)
+    assert isinstance(cfg, iterations.MethodConfig)
+    assert (cfg.eta0, cfg.max_iter, cfg.stop_tol) == (None, 200, 1e-10)
+    assert replace(cfg, max_iter=7, stop_tol=1e-300).max_iter == 7
+    for bad, message in (({"stop_tol": 0.0}, "stop_tol must be positive"),
+                         ({"stop_tol": float("nan")}, "stop_tol must be positive"),
+                         ({"max_iter": 0}, "max_iter must be at least 1"),
+                         ({key: -1.0 for key in own}, "must be positive")):
+        with pytest.raises(ValueError, match=message):
+            cls(**{**own, **bad})
+
+
 class TestComputeError:
     def test_reference_gives_zero(self, cubic_setup):
         prob, mesh, decomp, ref = cubic_setup
