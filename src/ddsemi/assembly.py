@@ -80,9 +80,12 @@ def _require_finite(name, values, field):
 
 class Geometry:
     """What no field or problem changes on one (mesh, triangle set, dof map,
-    quadrature degree): quadrature tables, element stiffness, the Jacobian's
+    quadrature degree): quadrature tables, basis gradients, the Jacobian's
     pattern and, built on first use (``shared``), the interior block's pattern,
-    band orders and H1 Gram values. Its arrays are read-only."""
+    band orders, H1 Gram values and the element stiffness, which only the
+    p-Laplace Jacobian holds. Its arrays are read-only. At degree 4 it holds
+    about 248 bytes per triangle, 96 of them the points ``qx``, ``qy`` and 36
+    the scatter, and its build peaks at about 1.7 times what it keeps."""
 
     def __init__(self, mesh, tris, dofmap, degree):
         self.mesh = mesh
@@ -109,8 +112,12 @@ class Geometry:
 
         q = self.rule.points
         self.w = self.rule.weights
-        self.qx = pts[:, 0, 0] + np.outer(q[:, 0], e1[:, 0]) + np.outer(q[:, 1], e2[:, 0])
-        self.qy = pts[:, 0, 1] + np.outer(q[:, 0], e1[:, 1]) + np.outer(q[:, 1], e2[:, 1])
+        # filled one point at a time, with no (nq, nt) temporaries
+        self.qx = np.empty((q.shape[0], nt))
+        self.qy = np.empty((q.shape[0], nt))
+        for i, (a, b) in enumerate(q):
+            self.qx[i] = pts[:, 0, 0] + a * e1[:, 0] + b * e2[:, 0]
+            self.qy[i] = pts[:, 0, 1] + a * e1[:, 1] + b * e2[:, 1]
         self.phi = np.stack([1.0 - q[:, 0] - q[:, 1], q[:, 0], q[:, 1]])  # (3, nq)
         self._phi_t = self.phi.T.copy()  # (nq, 3): field values at the points
         self._wphi = self.w[None, :] * self.phi  # (3, nq)
@@ -121,32 +128,79 @@ class Geometry:
         # The flat gather is vertex-major, as the (3, nt) local residual entries.
         self._flat_gather = np.where(tri_dofs < 0, self.n_dofs, tri_dofs).T.ravel()
 
-        # Field-independent blocks of the local Jacobians, rows (j, k):
-        # w_q phi_j phi_k per quadrature point, grad(phi_j).grad(phi_k) per triangle.
+        # Field-independent block of the local Jacobians, rows (j, k):
+        # w_q phi_j phi_k per quadrature point.
         self._mass_table = (self._wphi[:, None, :] * self.phi[None, :, :]).reshape(9, -1)
-        gx, gy = self._gx, self._gy
-        self._stiff = (gx[:, None, :] * gx[None, :, :]
-                       + gy[:, None, :] * gy[None, :, :]).reshape(9, nt)
-        self._build_pattern(tri_dofs)
+        del pts, e1, e2
+        self._build_pattern(tri_dofs.T)
         _frozen(self)
-        self._shared = {}  # key -> pattern-only data built on first use
+        self._shared = {}  # key -> data built on first use
 
-    def _build_pattern(self, tri_dofs):
+    def _build_pattern(self, dofs):
         """Canonical CSR pattern of the Jacobian and the map from the 9*nt
         local entries (rows (j, k), then triangles) to its nonzeros; entries
-        touching a constrained node map to the spill slot nnz."""
+        touching a constrained node map to the spill slot nnz.
+
+        ``dofs`` is (3, nt), -1 where constrained. The off-diagonal nonzeros
+        are the triangle edges with two free ends, one in the row of each end.
+        Row r holds its edges to lower dofs, then (r, r) when a triangle
+        touches r, then its edges to higher dofs, so each nonzero's place
+        follows from the row lengths, and no array of all 9*nt local entries
+        is formed but the int32 scatter itself.
+        """
         n = self.n_dofs
-        dofs = tri_dofs.T  # (3, nt)
-        rows = np.repeat(dofs, 3, axis=0).ravel()
-        cols = np.tile(dofs, (3, 1)).ravel()
-        free = (rows >= 0) & (cols >= 0)
-        keys, slots = np.unique(rows[free] * n + cols[free], return_inverse=True)
-        self._nnz = keys.shape[0]
-        self._scatter = np.full(rows.shape[0], self._nnz, dtype=np.int32)
-        self._scatter[free] = slots
-        self._indices = (keys % n).astype(np.int32)
+        nt = dofs.shape[1]
+        sides = ((0, 1), (0, 2), (1, 2))
+        keys = np.empty((3, nt), dtype=np.int64)  # lo*n + hi, negative when constrained
+        for e, (j, k) in enumerate(sides):
+            keys[e] = np.minimum(dofs[j], dofs[k]) * n + np.maximum(dofs[j], dofs[k])
+        edges, edge_of = np.unique(keys.ravel(), return_inverse=True)
+        del keys
+        first = int(np.searchsorted(edges, 0))
+        lo, hi = np.divmod(edges[first:], n)
+        ne = lo.shape[0]
+        # edge index per triangle side; -1, the spill slot below, when constrained
+        edge_of = np.maximum(edge_of.reshape(3, nt) - first, -1)
+
+        touched = np.bincount(self._flat_gather, minlength=n + 1)[:n] > 0
+        below = np.bincount(hi, minlength=n)  # row r: edges to lower dofs
+        above = np.bincount(lo, minlength=n)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self._indptr[1:])
+        np.cumsum(below + touched + above, out=self._indptr[1:])
+        nnz = self._nnz = int(self._indptr[-1])
+        starts, ends = self._indptr[:-1], self._indptr[1:]
+        # each place array ends in the spill slot, which index -1 reaches
+        diagonal = np.append(starts + below, nnz)
+        # entry (lo, hi) of each edge: the edges are in (lo, hi) order
+        upper = np.append((ends - np.cumsum(above))[lo] + np.arange(ne), nnz)
+        # entry (hi, lo): a stable sort by hi puts the edges in (hi, lo) order
+        lower = np.full(ne + 1, nnz)
+        by_hi = np.argsort(hi, kind="stable")
+        lower[by_hi] = (starts - np.cumsum(below) + below)[hi[by_hi]] + np.arange(ne)
+
+        self._indices = np.empty(nnz, dtype=np.int32)
+        self._indices[upper[:ne]] = hi
+        self._indices[lower[:ne]] = lo
+        self._indices[diagonal[:n][touched]] = np.flatnonzero(touched)
+
+        self._scatter = np.empty(9 * nt, dtype=np.int32)
+        scatter = self._scatter.reshape(9, nt)
+        for j in range(3):
+            scatter[4 * j] = diagonal[dofs[j]]
+        for e, (j, k) in enumerate(sides):
+            edge = edge_of[e]
+            j_lower = dofs[j] < dofs[k]
+            scatter[3 * j + k] = np.where(j_lower, upper[edge], lower[edge])
+            scatter[3 * k + j] = np.where(j_lower, lower[edge], upper[edge])
+
+    def element_stiffness(self):
+        """The (9, nt) element stiffness grad(phi_j).grad(phi_k), rows (j, k),
+        in a new array that the caller may scale in place."""
+        gx, gy = self._gx, self._gy
+        out = np.empty((9, gx.shape[1]))
+        for j in range(3):
+            out[3 * j: 3 * j + 3] = gx[j] * gx + gy[j] * gy
+        return out
 
     def shared(self, key, build):
         """build(), made read-only on the first call for key and then kept;
@@ -229,9 +283,10 @@ class Assembler:
 
     Per-triangle arrays put the triangle last, so each kernel runs along
     contiguous rows: the basis gradients ``_gx``, ``_gy`` are (3, nt), the
-    element stiffness ``_stiff`` (9, nt) with rows (j, k), the quadrature
-    points ``qx``, ``qy`` (nq, nt), and the local Jacobian entries are
-    scattered in that (j, k)-then-triangle order.
+    element stiffness (``Geometry.element_stiffness``, formed where it is
+    needed) (9, nt) with rows (j, k), the quadrature points ``qx``, ``qy``
+    (nq, nt), and the local Jacobian entries are scattered in that
+    (j, k)-then-triangle order.
     """
 
     def __init__(self, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
@@ -277,8 +332,10 @@ class Assembler:
         if not (amin > 0.0 and np.isfinite(coef).all()):
             raise ValueError(
                 f"diffusion coefficient must be positive and finite (min {amin:g})")
+        stiff = self.geometry.element_stiffness()
+        stiff *= coef
         # K shares the pattern's index arrays; it never leaves the assembler
-        return sp.csr_matrix((self.geometry.fill(coef * self._stiff), self._indices,
+        return sp.csr_matrix((self.geometry.fill(stiff), self._indices,
                               self._indptr), shape=(self.n_dofs, self.n_dofs))
 
     def _load_integral(self, source):
@@ -340,7 +397,11 @@ class Assembler:
             # rank-one part is the outer product of sqrt(area/a) g.grad(phi_j)
             gx, gy, anorm = self._p_laplace_gradient(wv, prob.grad_eps)
             v = np.sqrt(self.area / anorm) * (gx * self._gx + gy * self._gy)  # (3, nt)
-            mass += (self.area * anorm) * self._stiff
+            # the one kernel that reads the element stiffness on every call
+            # holds it, once per geometry
+            stiff = self.geometry.shared(
+                "stiffness", lambda: (self.geometry.element_stiffness(),))[0]
+            mass += (self.area * anorm) * stiff
             mass += (v[:, None, :] * v[None, :, :]).reshape(9, -1)
             data = self.geometry.fill(mass)
 
@@ -357,7 +418,9 @@ class Assembler:
         are summed once per geometry, and it leaves ``observed`` as it was."""
         def build():
             ones = np.ones_like(self.qx)
-            stiffness = self.geometry.fill((self.det * (self.w @ ones)) * self._stiff)
+            stiff = self.geometry.element_stiffness()
+            stiff *= self.det * (self.w @ ones)
+            stiffness = self.geometry.fill(stiff)
             return (stiffness + self.geometry.fill(self.det * (self._mass_table @ ones)),)
         data = self.geometry.shared("h1", build)[0].copy()
         return sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),

@@ -119,7 +119,9 @@ class BandOrder:
     def __init__(self, a):
         a = a.tocsr()
         n = a.shape[0]
-        self.indptr, self.indices = a.indptr.copy(), a.indices.copy()
+        # a read-only pattern (a shared geometry's) is kept as it is
+        self.indptr, self.indices = (x.copy() if x.flags.writeable else x
+                                     for x in (a.indptr, a.indices))
         self.perm = reverse_cuthill_mckee(a, symmetric_mode=True)
         rank = np.empty(n, dtype=np.intp)
         rank[self.perm] = np.arange(n)
@@ -512,7 +514,6 @@ class SubdomainWorkspace:
             full[m:] = eta
         if robin_s is not None:
             mass = self.mass_gamma
-            penalty = robin_s * self._mass_gamma_embedded
 
         def residual(x):
             full[:free] = x
@@ -528,7 +529,7 @@ class SubdomainWorkspace:
         def jacobian(x):
             full[:free] = x
             jac = self.asm.jacobian(full, problem, interior=eta is not None)
-            return jac if robin_s is None else jac + penalty
+            return jac if robin_s is None else jac + robin_s * self._mass_gamma_embedded
 
         x, iters, _ = sparse_newton(residual, jacobian, full[:free], tol, self.newton_max,
                                     self._held[kind])

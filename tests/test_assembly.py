@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -468,7 +469,54 @@ def make_kind(kind):
     return cubic_reaction_problem() if kind == "cubic" else p_laplace_problem()
 
 
+def oracle_pattern(geometry):
+    """(indices, indptr, scatter, nnz) of the geometry's Jacobian, built the
+    direct way: one np.unique over the (row, column) keys of all 9*nt local
+    entries."""
+    n = geometry.n_dofs
+    dofs = geometry.dof_of_node[geometry.mesh.triangles[geometry.tris]].T  # (3, nt)
+    rows = np.repeat(dofs, 3, axis=0).ravel()
+    cols = np.tile(dofs, (3, 1)).ravel()
+    free = (rows >= 0) & (cols >= 0)
+    keys, slots = np.unique(rows[free] * n + cols[free], return_inverse=True)
+    nnz = keys.shape[0]
+    scatter = np.full(rows.shape[0], nnz, dtype=np.int32)
+    scatter[free] = slots
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return (keys % n).astype(np.int32), indptr, scatter, nnz
+
+
+def pattern_cases(m):
+    """(name, triangles, dof map) of the global mesh, both sides of a
+    vertical and of a staircase cut, and random triangle subsets with the
+    global dof map (dofs no triangle touches) and with a side's."""
+    vertical = decompose_vertical(m, 1.5)
+    staircase = decompose_staircase(m, [(1.5, 0), (1.5, 1), (2, 1), (2, 2)])
+    rng = np.random.default_rng(9)
+    subset = np.flatnonzero(rng.random(m.n_triangles) < 0.4)
+    side = vertical.side_triangles(1)
+    yield "global", np.arange(m.n_triangles), mesh_global_dofmap(m)
+    for name, d in (("vertical", vertical), ("staircase", staircase)):
+        for k in (1, 2):
+            yield f"{name}{k}", d.side_triangles(k), d.side_dofmap(k)
+    yield "subset", subset, mesh_global_dofmap(m)
+    yield "side subset", side[rng.random(side.shape[0]) < 0.5], vertical.side_dofmap(1)
+
+
 class TestSparsityPattern:
+    @pytest.mark.parametrize("degree", [1, 2, 4])
+    def test_matches_oracle_bytewise(self, degree):
+        m = build_rect_mesh(3, 2, 1 / 8)
+        for name, tris, dofmap in pattern_cases(m):
+            geometry = assembly.Geometry(m, tris, dofmap, degree)
+            indices, indptr, scatter, nnz = oracle_pattern(geometry)
+            assert type(geometry._nnz) is int and geometry._nnz == nnz, name
+            for got, want in ((geometry._indices, indices), (geometry._indptr, indptr),
+                              (geometry._scatter, scatter)):
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+
     def test_canonical_csr(self):
         m = build_rect_mesh(3, 2, 0.25)
         d = decompose_vertical(m, 1.5)
@@ -620,11 +668,13 @@ def geometry_arrays(asm):
     """Every array of the assembler's geometry, the ones built on first use
     (interior pattern, H1 Gram values, band orders) included."""
     asm.jacobian(np.zeros(asm.n_dofs), cubic_reaction_problem(), interior=True)
+    asm.jacobian(np.zeros(asm.n_dofs), p_laplace_problem())
     asm.h1_matrix()
     shared_order(asm)()
     shared_order(asm, interior=True)()
     geometry = asm.geometry
-    assert set(geometry._shared) == {"interior", "h1", ("order", False), ("order", True)}
+    assert set(geometry._shared) == {"interior", "h1", "stiffness", ("order", False),
+                                     ("order", True)}
     arrays = [a for a in vars(geometry).values() if isinstance(a, np.ndarray)]
     for value in geometry._shared.values():
         parts = value if isinstance(value, tuple) else vars(value).values()
@@ -724,6 +774,71 @@ class TestSharedGeometry:
             assert asm.geometry is first.geometry and got is pattern
             for name, value in vars(first.geometry).items():
                 assert getattr(asm, name) is value
+
+
+def global_assembler(inv_h):
+    m = build_rect_mesh(3, 2, 1 / inv_h)
+    return Assembler(m, np.arange(m.n_triangles), mesh_global_dofmap(m))
+
+
+def stiffness_tables(asm):
+    """The (9, nt) float arrays that the assembler or its geometry holds."""
+    geometry = asm.geometry
+    held = list(vars(asm).values()) + list(vars(geometry).values())
+    for value in geometry._shared.values():
+        held += value if isinstance(value, tuple) else vars(value).values()
+    shape = (9, geometry.tris.shape[0])
+    found = {id(a): a for a in held
+             if isinstance(a, np.ndarray) and a.shape == shape and a.dtype == float}
+    return list(found.values())
+
+
+class TestGeometryMemory:
+    def test_global_build_peak_and_kept_bytes(self):
+        # h = 1/24: 6912 triangles; a geometry keeps about 248 bytes per
+        # triangle, and its build peaks at under twice that
+        m = build_rect_mesh(3, 2, 1 / 24)
+        tris, dofmap = np.arange(m.n_triangles), mesh_global_dofmap(m)
+        assembly.Geometry(m, tris, dofmap, 4)  # first-call allocations
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            geometry = assembly.Geometry(m, tris, dofmap, 4)
+            kept, peak = (b - before for b in tracemalloc.get_traced_memory())
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert geometry.tris.shape == (m.n_triangles,)
+        assert kept <= 260 * m.n_triangles
+        assert peak <= 2.5 * kept
+
+    def test_semilinear_assembly_holds_no_element_stiffness(self):
+        asm = global_assembler(24)
+        prob = cubic_reaction_problem()
+        w = 0.5 * np.random.default_rng(2).standard_normal(asm.n_dofs)
+        asm.residual(w, prob)
+        asm.jacobian(w, prob)
+        asm.jacobian(w, prob, interior=True)
+        asm.h1_matrix()
+        assert stiffness_tables(asm) == []
+
+    def test_p_laplace_jacobian_holds_one_read_only(self):
+        asm = global_assembler(24)
+        prob = p_laplace_problem()
+        w = 0.5 * np.random.default_rng(2).standard_normal(asm.n_dofs)
+        first = asm.jacobian(w, prob)
+        (held,) = stiffness_tables(asm)
+        assert not held.flags.writeable
+        assert held.tobytes() == asm.geometry.element_stiffness().tobytes()
+        # a second call and another assembler on the same data read the same table
+        again = Assembler(asm.mesh, asm.tris, mesh_global_dofmap(asm.mesh))
+        assert again.geometry is asm.geometry
+        assert again.jacobian(w, prob).data.tobytes() == first.data.tobytes()
+        assert stiffness_tables(again) == [held]
 
 
 class TestFieldVector:

@@ -249,6 +249,27 @@ class TestNeumannSolve:
         assert np.linalg.norm(r[: ws1.m]) <= ws1.newton_tol
         assert np.linalg.norm(r[ws1.m:] - psi.data) <= ws1.newton_tol
 
+    def test_robin_jacobian_is_assembled_plus_penalty(self, monkeypatch):
+        # the Robin solve's Jacobian equals, bit for bit, the assembled one
+        # plus s times the embedded interface mass matrix
+        mesh = build_rect_mesh(3, 2, 1 / 8)
+        decomp = decompose_vertical(mesh, 1.5)
+        ws = SubdomainWorkspace(mesh, decomp, cubic_reaction_problem(), 1)
+        jacobians = []
+        newton = subdomain.sparse_newton
+
+        def spy(residual, jacobian, x0, *args):
+            jacobians.append((x0.copy(), jacobian(x0)))
+            return newton(residual, jacobian, x0, *args)
+
+        monkeypatch.setattr(subdomain, "sparse_newton", spy)
+        s = 46.0
+        ws.robin_solve(InterfaceVector(np.full(ws.k, 0.01), dual=True), s)
+        (x, got), = jacobians
+        want = ws.asm.jacobian(x, ws.problem) + s * ws._mass_gamma_embedded
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
 
 class TestSpDerivative:
     def test_symmetry_on_random_triples(self, coarse_setup):
@@ -671,6 +692,22 @@ class TestFactorization:
         assert isinstance(subdomain.splu(a, order), subdomain.BandedCholesky)
         b = rng.standard_normal(n)
         _assert_solves(a, b, np.linalg.solve(dense, b))
+
+    def test_keeps_read_only_pattern_and_copies_writeable_one(self):
+        mesh = build_rect_mesh(3, 2, 1 / 8)
+        decomp = decompose_vertical(mesh, 1.5)
+        asm = Assembler(mesh, decomp.side_triangles(1), decomp.side_dofmap(1))
+        shared = subdomain.BandOrder(asm.geometry.pattern())
+        assert np.shares_memory(shared.indices, asm._indices)
+        assert np.shares_memory(shared.indptr, asm._indptr)
+        jac = asm.jacobian(np.zeros(asm.n_dofs), cubic_reaction_problem())
+        own = subdomain.BandOrder(jac)
+        assert not np.shares_memory(own.indices, jac.indices)
+        assert not np.shares_memory(own.indptr, jac.indptr)
+        assert shared.fits(jac) and own.fits(jac)
+        # a later change to the matrix's pattern leaves its order's copy as it was
+        jac.indices[[0, 1]] = jac.indices[[1, 0]]
+        assert not own.fits(jac) and own.fits(asm.geometry.pattern())
 
     def test_unsymmetric_pattern_has_no_transpose(self):
         a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
