@@ -122,6 +122,23 @@ def build_rect_mesh(width, height, h):
     return TriMesh(nodes, triangles, boundary, float(width), float(height), float(h), nx, ny)
 
 
+def prolong_p1(coarse, mesh, values):
+    """P1 interpolant on the nodes of mesh of the nodal ``values`` on coarse,
+    a build_rect_mesh of the same rectangle at twice mesh's size. Shared
+    lattice nodes are injected; every other node is the midpoint of the
+    coarse edge it bisects: horizontal, vertical, or a cell's
+    bottom-left/top-right diagonal."""
+    if (mesh.nx, mesh.ny) != (2 * coarse.nx, 2 * coarse.ny):
+        raise ValueError("mesh must halve every cell of coarse")
+    u = np.asarray(values, dtype=float).reshape(coarse.ny + 1, coarse.nx + 1)
+    fine = np.empty((mesh.ny + 1, mesh.nx + 1))
+    fine[::2, ::2] = u
+    fine[::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
+    fine[1::2, ::2] = 0.5 * (u[:-1] + u[1:])
+    fine[1::2, 1::2] = 0.5 * (u[:-1, :-1] + u[1:, 1:])
+    return fine.ravel()
+
+
 @dataclass(frozen=True)
 class DofMap:
     """Bijection between local degrees of freedom and global mesh nodes.

@@ -291,6 +291,10 @@ class HeldFactor:
     banded Cholesky factor is one array, and trimming after it costs more
     than the factorization. The kind of the freed factor decides, not the
     order: a banded order falls back to SuperLU on an indefinite matrix.
+    With no factor to free, an order too wide for the band decides: the
+    heap that assembly freed is returned before SuperLU allocates (nested
+    reference at h = 1/256, whose coarse levels leave that heap behind:
+    peak RSS 1074-1155 MB without the trim, 1040 MB with it).
     """
 
     def __init__(self, order=None):
@@ -300,14 +304,14 @@ class HeldFactor:
 
     def refactor(self, factor, jac):
         """Replace the factor by ``factor(jac, order)``; returns its solve."""
-        if self.solve is not None:
-            # past wrappers that set __wrapped__, to the factor's own method
-            trim = not isinstance(getattr(inspect.unwrap(self.solve), "__self__", None),
-                                  BandedCholesky)
-            self.solve = None
-            if trim and _malloc_trim is not None:
-                _malloc_trim(0)
+        first = self.solve is None
+        # past wrappers that set __wrapped__, to the factor's own method
+        trim = not first and not isinstance(
+            getattr(inspect.unwrap(self.solve), "__self__", None), BandedCholesky)
+        self.solve = None
         self.order = _order_for(jac, self.order)
+        if (trim or (first and not self.order.banded)) and _malloc_trim is not None:
+            _malloc_trim(0)
         self.solve = factor(jac, self.order)
         self.factorizations += 1
         return self.solve

@@ -2,7 +2,8 @@
 tracer looks for it, so that renaming or moving a traced function or method
 fails here instead of breaking ``bench/run.py --trace 1``; ``subdomain.splu``
 must be called once per counted factorization and return what the tracer
-reads; and the benchmark's own self-test must pass."""
+reads; a nested reference solve must record one span with all its steps;
+and the benchmark's own self-test must pass."""
 
 import os
 import pathlib
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 from bench import tracing
-from ddsemi import subdomain
+from ddsemi import oracle, subdomain
 from ddsemi.iterations import DNConfig, run_dirichlet_neumann
 from ddsemi.mesh import build_rect_mesh, decompose_vertical
 from ddsemi.problems import cubic_reaction_problem
@@ -48,6 +49,20 @@ def test_splu_is_called_per_factorization_and_returns_what_the_tracer_reads(monk
         assert type(matrix.nnz) is int
         assert type(lu.nnz) is int
         assert callable(lu.solve)
+
+
+def test_nested_reference_records_one_span_with_every_level():
+    # the coarse levels run inside the public call, so oracle.solve_monolithic.s
+    # counts each level's time once
+    tracer = tracing.Tracer(0)
+    with tracer.installed():
+        sol = oracle.solve_monolithic(cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 20))
+    spans = [s for s in tracer.spans if s.name == "oracle.solve_monolithic"]
+    assert len(spans) == 1
+    assert spans[0].attrs["steps"] == sol.newton_iterations
+    newtons = [s for s in tracer.spans if s.name == "subdomain.newton"]
+    assert len(newtons) == 2  # the 2h level and the fine level
+    assert sum(s.attrs["steps"] for s in newtons) == sol.newton_iterations
 
 
 def test_bench_self_test_passes():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ddsemi.mesh import (CutOffGrid, DisconnectedPath, NonIntegerSubdivision,
                          PathNotOnGrid, build_rect_mesh, decompose_staircase,
-                         decompose_vertical, write_mesh_files)
+                         decompose_vertical, prolong_p1, write_mesh_files)
 
 
 def edge_multiset(mesh):
@@ -58,6 +58,33 @@ class TestBuildRectMesh:
     def test_non_integer_subdivision(self):
         with pytest.raises(NonIntegerSubdivision):
             build_rect_mesh(3, 2, 0.7)
+
+
+def p1_value(mesh, values, x, y):
+    """The P1 function of nodal ``values`` on mesh at (x, y), by barycentric
+    coordinates in a triangle that contains the point."""
+    for tri in mesh.triangles:
+        (x0, y0), (x1, y1), (x2, y2) = mesh.nodes[tri]
+        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
+        l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
+        if min(l1, l2, 1 - l1 - l2) >= -1e-12:
+            return (1 - l1 - l2) * values[tri[0]] + l1 * values[tri[1]] + l2 * values[tri[2]]
+    raise AssertionError("point outside the mesh")
+
+
+class TestProlongP1:
+    def test_matches_the_coarse_p1_function_at_every_fine_node(self):
+        coarse, fine = build_rect_mesh(3, 2, 0.5), build_rect_mesh(3, 2, 0.25)
+        values = np.random.default_rng(0).standard_normal(coarse.n_nodes)
+        expected = [p1_value(coarse, values, x, y) for x, y in fine.nodes]
+        np.testing.assert_allclose(prolong_p1(coarse, fine, values), expected,
+                                   rtol=0, atol=1e-14)
+
+    def test_rejects_a_mesh_that_does_not_halve_the_cells(self):
+        with pytest.raises(ValueError):
+            prolong_p1(build_rect_mesh(3, 2, 0.5), build_rect_mesh(3, 2, 0.5),
+                       np.zeros(35))
 
 
 class TestDecomposeVertical:

@@ -1,17 +1,20 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from ddsemi import oracle
 from ddsemi.assembly import Assembler
 from ddsemi.mesh import build_rect_mesh, decompose_vertical
 from ddsemi.oracle import (TooLarge, dense_brute_force, fd_check,
                            mesh_global_dofmap, solve_monolithic)
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
-from ddsemi.splitting import NonConvergence
-from ddsemi.subdomain import InterfaceVector, SubdomainWorkspace
+from ddsemi.splitting import NonConvergence, SingularJacobian
+from ddsemi.subdomain import InterfaceVector, SubdomainWorkspace, shared_order, sparse_newton
+from tests.test_assembly import right_triangle_mesh
 
 
 class TestDenseEquivalence:
@@ -139,7 +142,151 @@ class TestMonolithic:
         assert (a.field.data == b.field.data).all()
 
 
+def zero_start(prob, mesh, newton_rtol=1e-12):
+    """(field, steps, tolerance) of the reference by full Newton from zero,
+    each step refactored: the solve below the nesting gate."""
+    dofmap = mesh_global_dofmap(mesh)
+    asm = Assembler(mesh, np.arange(mesh.n_triangles), dofmap)
+    tol = newton_rtol * max(1.0, float(np.linalg.norm(asm.residual(np.zeros(dofmap.n_dofs),
+                                                                   prob))))
+    u, steps, _ = sparse_newton(lambda v: asm.residual(v, prob),
+                                lambda v: asm.jacobian(v, prob),
+                                np.zeros(dofmap.n_dofs), tol, 50, order=shared_order(asm))
+    return u, steps, tol
+
+
+def newton_calls(monkeypatch):
+    """Spy on the reference's Newton solves: (unknowns, steps) per call."""
+    calls = []
+
+    def spy(residual_fn, jacobian_fn, u0, *args, **kwargs):
+        out = sparse_newton(residual_fn, jacobian_fn, u0, *args, **kwargs)
+        calls.append((len(u0), out[1]))
+        return out
+
+    monkeypatch.setattr(oracle, "sparse_newton", spy)
+    return calls
+
+
+class TestNestedReference:
+    # 3 x 2 at h = 1/20 has 40 cells across its shorter side: one coarse level
+    @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
+    def test_nested_solution_meets_tolerance_and_matches_zero_start(self, make_problem):
+        prob, mesh = make_problem(), build_rect_mesh(3, 2, 1 / 20)
+        expected, _, tol = zero_start(prob, mesh)
+        sol = solve_monolithic(prob, mesh)
+        asm = Assembler(mesh, np.arange(mesh.n_triangles), mesh_global_dofmap(mesh))
+        assert float(np.linalg.norm(asm.residual(sol.field.data, prob))) <= tol
+        assert np.abs(sol.field.data - expected).max() <= 1e-10
+        assert sol.field.data.tobytes() != expected.tobytes()  # it did nest
+
+    @pytest.mark.parametrize("prob, mesh", [
+        (cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 16)),  # 2h mesh: 16 cells across
+        (cubic_reaction_problem(), build_rect_mesh(2.05, 2, 0.05)),  # 41 x 40 cells
+        # one triangle, no Dirichlet node: the cubic problem's Jacobian is singular at zero
+        (linear_problem(), right_triangle_mesh(0.5)),
+    ], ids=["below-gate", "odd-cells", "hand-built"])
+    def test_off_the_gate_is_the_zero_start_solve(self, prob, mesh):
+        expected, steps, _ = zero_start(prob, mesh)
+        sol = solve_monolithic(prob, mesh)
+        assert sol.field.data.tobytes() == expected.tobytes()
+        assert sol.newton_iterations == steps
+
+    @pytest.mark.parametrize("error", [NonConvergence, SingularJacobian])
+    def test_coarse_failure_falls_back_to_zero_start(self, monkeypatch, error):
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 20)
+        expected, steps, _ = zero_start(prob, mesh)
+        fine = mesh_global_dofmap(mesh).n_dofs
+
+        def failing_coarse(residual_fn, jacobian_fn, u0, *args, **kwargs):
+            if len(u0) != fine:
+                raise error("coarse level failed")
+            return sparse_newton(residual_fn, jacobian_fn, u0, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "sparse_newton", failing_coarse)
+        sol = solve_monolithic(prob, mesh)
+        assert sol.field.data.tobytes() == expected.tobytes()
+        assert sol.newton_iterations == steps
+
+    def test_failed_nested_start_falls_back_to_zero_start(self, monkeypatch):
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 20)
+        expected, steps, _ = zero_start(prob, mesh)
+        coarse_steps = []
+
+        def failing_chord(residual_fn, jacobian_fn, u0, *args, held=None, **kwargs):
+            if held is not None:
+                raise NonConvergence("nested start failed", iterations=3)
+            out = sparse_newton(residual_fn, jacobian_fn, u0, *args, held=held, **kwargs)
+            coarse_steps.append(out[1])
+            return out
+
+        monkeypatch.setattr(oracle, "sparse_newton", failing_chord)
+        sol = solve_monolithic(prob, mesh)
+        assert sol.field.data.tobytes() == expected.tobytes()
+        # the coarse level, the three discarded steps and the zero start
+        assert sol.newton_iterations == coarse_steps[0] + 3 + steps
+
+    @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
+    def test_zero_start_budget_still_converges(self, make_problem):
+        # newton_max bounds each level; the smallest budget the zero start
+        # meets is enough, since a nested start that runs out falls back to it
+        prob, mesh = make_problem(), build_rect_mesh(3, 2, 1 / 20)
+        expected, steps, tol = zero_start(prob, mesh)
+        with pytest.raises(NonConvergence):
+            solve_monolithic(prob, mesh, newton_max=steps - 1)
+        sol = solve_monolithic(prob, mesh, newton_max=steps)
+        assert sol.residual_norm <= tol
+        assert np.abs(sol.field.data - expected).max() <= 1e-10
+
+    def test_newton_iterations_count_every_level(self, monkeypatch):
+        # 80 cells across: levels with 20, 40 and 80 cells, coarsest first
+        calls = newton_calls(monkeypatch)
+        sol = solve_monolithic(cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 40))
+        assert [n for n, _ in calls] == [mesh_global_dofmap(build_rect_mesh(3, 2, h)).n_dofs
+                                         for h in (1 / 10, 1 / 20, 1 / 40)]
+        assert all(steps > 0 for _, steps in calls)
+        assert sol.newton_iterations == sum(steps for _, steps in calls)
+
+    def test_only_the_fine_level_is_cached(self, tmp_path, monkeypatch):
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 20)
+        first = solve_monolithic(prob, mesh, cache_dir=str(tmp_path))
+        files = list(tmp_path.iterdir())
+        assert len(files) == 1
+        assert json.loads(files[0].read_bytes().split(b"\n", 1)[0])["h"] == mesh.h
+        calls = newton_calls(monkeypatch)
+        second = solve_monolithic(prob, mesh, cache_dir=str(tmp_path))
+        assert second.newton_iterations == 0 and calls == []
+        assert second.field.data.tobytes() == first.field.data.tobytes()
+
+
 class TestReferenceCache:
+    @staticmethod
+    def zero_start_key(prob, mesh):
+        blob = "|".join([prob.name, repr(mesh.width), repr(mesh.height), repr(mesh.h),
+                         "4", repr(1e-12)])
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_entry_from_before_nesting_is_not_reused(self, tmp_path):
+        # a zero-start field cached under the key without the nesting rule
+        # passes the residual test, but must not stand in for the nested one
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 20)
+        old, _, _ = zero_start(prob, mesh)
+        old_key = self.zero_start_key(prob, mesh)
+        new_key = oracle._cache_key(prob, mesh, 4, 1e-12)
+        assert old_key != new_key
+        for key in (old_key, new_key):
+            oracle._cache_write(str(tmp_path / f"ref-{key[:16]}.bin"), old_key, {"h": mesh.h}, old)
+        sol = solve_monolithic(prob, mesh, degree=4, cache_dir=str(tmp_path))
+        fresh = solve_monolithic(prob, mesh, degree=4)
+        assert sol.newton_iterations > 0
+        assert sol.field.data.tobytes() == fresh.field.data.tobytes()
+        assert sol.field.data.tobytes() != old.tobytes()
+
+    def test_solve_that_does_not_nest_keeps_its_key(self):
+        # below the gate the field is the zero start's, and so is its cache
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 16)
+        assert oracle._cache_key(prob, mesh, 4, 1e-12) == self.zero_start_key(prob, mesh)
+
     def test_round_trip(self, tmp_path):
         prob = cubic_reaction_problem()
         mesh = build_rect_mesh(2, 1, 0.25)

@@ -837,6 +837,22 @@ class TestFactorization:
             held.refactor(factor, spd)
             assert trims == [0]
 
+    def test_first_factor_on_a_wide_order_is_trimmed_before(self, monkeypatch):
+        # with no factor to free, the order decides: SuperLU's first factor
+        # is preceded by a trim, the banded Cholesky's is not
+        trims = []
+        monkeypatch.setattr(subdomain, "_malloc_trim", trims.append)
+        spd = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csr")
+        held = subdomain.HeldFactor()
+        held.refactor(subdomain._factor, spd)
+        assert held.order.banded and trims == []
+        monkeypatch.setattr(subdomain, "BAND_MAX", 0)
+        held = subdomain.HeldFactor()
+        held.refactor(subdomain._factor, spd)
+        assert not held.order.banded and trims == [0]
+        held.refactor(subdomain._factor, spd)
+        assert trims == [0, 0]
+
     def test_reference_solve_builds_one_order(self, monkeypatch):
         # every Newton step of the reference solve refactors one fixed pattern
         builds = []
