@@ -20,7 +20,7 @@ from .mesh import build_rect_mesh, mesh_global_dofmap, prolong_p1
 from .problems import P_LAPLACE
 from .quadrature import quadrature_rule
 from .splitting import NonConvergence, SingularJacobian
-from .subdomain import HeldFactor, shared_order, sparse_newton
+from .subdomain import HeldFactor, load_tolerance, shared_order, sparse_newton
 
 DENSE_NODE_LIMIT = 60
 # The reference solve starts from the solution on the 2h mesh when that mesh
@@ -113,13 +113,6 @@ def _cache_write(path, key, meta, data):
                  + np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
-def _tolerance(asm, prob, newton_rtol):
-    """Absolute Newton tolerance: newton_rtol times the load scale (the residual
-    norm of the zero field), at least newton_rtol."""
-    return newton_rtol * max(1.0, float(np.linalg.norm(
-        asm.residual(np.zeros(asm.n_dofs), prob))))
-
-
 def _newton(prob, mesh, degree, newton_rtol, newton_max):
     """(field, Newton steps of every level, residual norm) of the reference on
     mesh, nested as ``solve_monolithic`` describes. The start is computed
@@ -138,22 +131,22 @@ def _newton(prob, mesh, degree, newton_rtol, newton_max):
             nodal[mesh_global_dofmap(coarse_mesh).node_of_dof] = coarse
             start = prolong_p1(coarse_mesh, mesh, nodal)[dofmap.node_of_dof]
     asm = Assembler(mesh, np.arange(mesh.n_triangles), dofmap, degree)
-    order = shared_order(asm)
-    tol = _tolerance(asm, prob, newton_rtol)
+    held = HeldFactor(shared_order(asm))
+    tol = load_tolerance(asm, prob, newton_rtol)
 
-    def newton(u0, held):
+    def newton(u0, chord):
         return sparse_newton(lambda v: asm.residual(v, prob), lambda v: asm.jacobian(v, prob),
-                             u0, tol, newton_max, held=held, order=order)
+                             u0, tol, newton_max, held, chord=chord)
 
     if start is not None:
         try:
-            u, iters, rnorm = newton(start, HeldFactor(order))
+            u, iters, rnorm = newton(start, True)
             return u, steps + iters, rnorm
         except NonConvergence as err:
             steps += err.iterations or 0
         except SingularJacobian:
             pass
-    u, iters, rnorm = newton(np.zeros(dofmap.n_dofs), None)
+    u, iters, rnorm = newton(np.zeros(dofmap.n_dofs), False)
     return u, steps + iters, rnorm
 
 
@@ -189,7 +182,7 @@ def solve_monolithic(prob, mesh, degree=DEFAULT_DEGREE, newton_rtol=1e-12,
         if cached is not None:
             asm = Assembler(mesh, np.arange(mesh.n_triangles), dofmap, degree)
             res = float(np.linalg.norm(asm.residual(cached, prob)))
-            if res <= _tolerance(asm, prob, newton_rtol):
+            if res <= load_tolerance(asm, prob, newton_rtol):
                 return MonolithicSolution(FieldVector(cached, dofmap.n_dofs), 0, res)
 
     u, iters, rnorm = _newton(prob, mesh, degree, newton_rtol, newton_max)

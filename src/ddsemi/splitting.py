@@ -151,33 +151,32 @@ MIN_STEP = 2.0 ** -30
 CHORD_THETA = 0.02
 
 
-def damped_newton(residual_fn, jacobian_fn, factor, norm, x0, tol, max_iter,
-                  at_floor=None, held=None):
+def damped_newton(residual_fn, jacobian_fn, held, norm, x0, tol, max_iter,
+                  at_floor=None, chord=False):
     """Damped Newton for residual_fn(x) = 0 with Armijo backtracking.
 
-    ``factor(jac)`` factors one linearization and returns its solve
-    function, raising SingularJacobian when it cannot; ``norm`` of the
-    residual is the merit function. When the line search stalls,
-    ``at_floor(jac, x, rnorm)`` may declare the current residual accurate
-    to rounding, and x is returned instead of raising NonConvergence.
+    ``held`` owns the factor: a step drops ``held.solve`` (sets it to None)
+    before it assembles the Jacobian, then ``held.refactor(jac)`` factors
+    it, keeps the solve function as ``held.solve`` and returns it, or raises
+    SingularJacobian. ``norm`` of the residual is the merit function. When
+    the line search stalls, ``at_floor(jac, x, rnorm)`` may declare the
+    current residual accurate to rounding, and x is returned instead of
+    raising NonConvergence.
 
-    ``held`` keeps a factor across steps and calls (chord Newton): its
-    ``solve`` is the solve function of the last linearization it factored,
-    or None, and ``refactor(factor, jac)`` replaces it. With a held factor
-    a step first tries the full step it gives (Kelley 1995, sec. 5.4). A
-    trial that brings the residual norm to CHORD_THETA times its value or
-    below is kept. One that only passes the Armijo test of a full step is
-    kept too, but the next step refactors at the new iterate without a
-    chord trial. Any other trial (a rise, or a NaN) is discarded, and the
-    step refactors at x and takes the damped Newton step. Chord steps count
-    as iterations. Without ``held`` every step refactors.
+    With ``chord`` a step first tries the full step of the held factor
+    (Kelley 1995, sec. 5.4). A trial that brings the residual norm to
+    CHORD_THETA times its value or below is kept. One that only passes the
+    Armijo test of a full step is kept too, but the next step refactors at
+    the new iterate without a chord trial. Any other trial (a rise, or a
+    NaN) is discarded, and the step refactors at x and takes the damped
+    Newton step. Chord steps count as iterations.
     """
     x = np.array(x0, dtype=float, copy=True)
     r = residual_fn(x)
     rnorm = norm(r)
     history = [rnorm]
     iters = 0
-    chord = held is not None  # whether the next step first tries the held factor
+    trial = chord  # whether the next step first tries the held factor
     # written so that a NaN residual enters the loop and fails the finiteness test
     while not rnorm <= tol:
         if not np.isfinite(rnorm):
@@ -186,19 +185,20 @@ def damped_newton(residual_fn, jacobian_fn, factor, norm, x0, tol, max_iter,
             raise NonConvergence(
                 f"no convergence in {max_iter} Newton iterations "
                 f"(residual {rnorm:.3e}, tol {tol:.3e})", iters, rnorm, history)
-        if chord and held.solve is not None:
+        if trial and held.solve is not None:
             x_new = x + held.solve(-r)
             r_new = residual_fn(x_new)
             rnorm_new = norm(r_new)
             # a NaN fails both tests
             if rnorm_new <= (1.0 - ARMIJO) * rnorm:
-                chord = rnorm_new <= CHORD_THETA * rnorm
+                trial = rnorm_new <= CHORD_THETA * rnorm
                 x, r, rnorm = x_new, r_new, rnorm_new
                 iters += 1
                 history.append(rnorm)
                 continue
+        held.solve = None
         jac = jacobian_fn(x)
-        step = (factor(jac) if held is None else held.refactor(factor, jac))(-r)
+        step = held.refactor(jac)(-r)
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("factorization produced non-finite Newton step")
         t = 1.0
@@ -216,19 +216,25 @@ def damped_newton(residual_fn, jacobian_fn, factor, norm, x0, tol, max_iter,
                 raise NonConvergence("line search failed to reduce the residual",
                                      iters, rnorm, history)
         x, r, rnorm = x_new, r_new, rnorm_new
-        chord = held is not None
+        trial = chord
         iters += 1
         history.append(rnorm)
     return NewtonResult(x, iters, rnorm, history)
 
 
-def _dense_factor(jac):
-    def solve(rhs):
-        try:
-            return np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Newton linearization is singular: {exc}") from exc
-    return solve
+class DenseFactor:
+    """Held factor (see damped_newton) of dense linearizations."""
+
+    solve = None
+
+    def refactor(self, jac):
+        def solve(rhs):
+            try:
+                return np.linalg.solve(jac, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SingularJacobian(f"Newton linearization is singular: {exc}") from exc
+        self.solve = solve
+        return solve
 
 
 def newton_invert(g, psi, x0, tol, max_iter, space=None):
@@ -240,7 +246,7 @@ def newton_invert(g, psi, x0, tol, max_iter, space=None):
     space = space or HilbertSpace(psi.shape[0])
     return damped_newton(lambda x: g.apply(x) - psi,
                          lambda x: np.asarray(g.jacobian(x), dtype=float),
-                         _dense_factor, space.dual_norm, x0, tol, max_iter)
+                         DenseFactor(), space.dual_norm, x0, tol, max_iter)
 
 
 def invert_operator(g, psi, x0=None, tol=1e-12, max_iter=50, space=None):

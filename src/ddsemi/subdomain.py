@@ -11,8 +11,8 @@ The Steklov-Poincare action of a trace eta is the interface block of the
 assembled residual at the constrained subdomain solution; its inverse is a
 coupled solve over interior and interface unknowns. All four nonlinear
 solves run one Newton kernel, which reuses the held factor of its kind
-across Newton steps and solves (chord Newton), and every sparse
-factorization goes through one helper and one entry point, ``splu``:
+across Newton steps and solves (chord Newton). Every sparse factorization
+goes through ``HeldFactor.refactor`` and one entry point, ``splu``:
 LAPACK's banded Cholesky on a reverse Cuthill-McKee order, built once per
 pattern (``shared_order``), for narrow symmetric positive definite
 matrices, SuperLU for all others.
@@ -20,7 +20,6 @@ matrices, SuperLU for all others.
 
 import ctypes
 import glob
-import inspect
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -147,14 +146,6 @@ class BandOrder:
         return np.array_equal(self.indptr, a.indptr) and np.array_equal(self.indices, a.indices)
 
 
-def _order_for(jac, order):
-    """order when it fits jac's pattern, else jac's own BandOrder; an order
-    given as a function (see ``shared_order``) is called first."""
-    if callable(order):
-        order = order()
-    return order if order is not None and order.fits(jac) else BandOrder(jac)
-
-
 def shared_order(asm, interior=False):
     """Function giving the BandOrder of the Jacobian pattern of ``asm`` (or of its
     interior block), built once and kept for all by the assembler's geometry."""
@@ -222,7 +213,10 @@ _one_blas_thread = _OneBlasThread()
 class BandedCholesky:
     """LAPACK banded Cholesky factor (``pbtrf``) of a sparse matrix permuted
     to its BandOrder, stored as the upper triangle; ``solve(b)`` and ``nnz``
-    (the band storage, (k + 1) n) as on SciPy's SuperLU."""
+    (the band storage, (k + 1) n) as on SciPy's SuperLU. ``banded`` tells it
+    from a SuperLU factor, which has no such attribute."""
+
+    banded = True
 
     def __init__(self, c, order):
         self._c, self._perm = c, order.perm
@@ -260,14 +254,6 @@ def splu(a, order=None):
     return superlu(sp.csc_matrix(a), permc_spec=ORDERING)
 
 
-def _factor(jac, order=None):
-    """Solve function of the factors of jac (see ``splu``)."""
-    try:
-        return splu(jac, order).solve
-    except RuntimeError as exc:
-        raise SingularJacobian(f"sparse factorization failed: {exc}") from exc
-
-
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
     _malloc_trim.argtypes = [ctypes.c_size_t]
@@ -277,42 +263,53 @@ except (AttributeError, OSError, TypeError):  # not glibc
 
 
 class HeldFactor:
-    """The factors of one solve kind, kept across Newton steps and solves,
-    and the BandOrder of their pattern, which is recomputed only when the
-    pattern changes; it starts from ``order`` (a BandOrder, a ``shared_order``
-    function or None).
+    """The one owner of a sparse factorization: the factors of one solve
+    kind, kept across Newton steps and solves, and the BandOrder of their
+    pattern. ``order`` starts as a BandOrder, a ``shared_order`` function
+    (called at the first factorization) or None; a matrix whose pattern it
+    does not fit gets its own BandOrder. The Robin Jacobian
+    ``jac + robin_s * M`` is such a matrix at u = 0: the sparse sum drops
+    the Jacobian's exact zeros (748 of 2736 entries at h = 1/12), so each
+    side's first Robin factorization misses the shared order.
 
-    ``solve`` is the solve function of the last linearization factored, or
-    None; ``factorizations`` counts the factorizations. A replaced factor is
-    freed before its successor is built. After a SuperLU factor glibc is
-    then asked to return the freed heap: a long-lived SuperLU factor
-    otherwise keeps the pages freed below it resident (NN at h = 1/48, 12
-    outer steps: peak RSS 108 MB with the trim, 130-176 MB without it). A
-    banded Cholesky factor is one array, and trimming after it costs more
-    than the factorization. The kind of the freed factor decides, not the
-    order: a banded order falls back to SuperLU on an indefinite matrix.
-    With no factor to free, an order too wide for the band decides: the
-    heap that assembly freed is returned before SuperLU allocates (nested
-    reference at h = 1/256, whose coarse levels leave that heap behind:
-    peak RSS 1074-1155 MB without the trim, 1040 MB with it).
+    ``solve`` is the solve function of the last factor, or None once its
+    owner drops it (see splitting.damped_newton); ``factorizations`` counts
+    the factors. A replaced factor is freed before its successor is built,
+    and glibc is then asked to return the freed heap unless the freed
+    factor (or, before the first, no factor) and the new order are both
+    banded. A long-lived SuperLU factor otherwise keeps the pages freed
+    below it resident (NN at h = 1/48, 12 outer steps: peak RSS 108 MB with
+    the trim, 130-176 MB without it); before a first one, the trim returns
+    the heap that assembly and coarser levels freed (nested reference at
+    h = 1/256: 1074-1155 MB without it, 1040 MB with it). A banded Cholesky
+    factor is one array, and trimming after it costs more than the
+    factorization. The freed factor's kind is read from the factor
+    (``BandedCholesky.banded``), not from its order: a banded order falls
+    back to SuperLU on an indefinite matrix.
     """
 
     def __init__(self, order=None):
         self.solve = None
         self.order = order
         self.factorizations = 0
+        self._banded = True  # the kind of the last factor; True before the first
 
-    def refactor(self, factor, jac):
-        """Replace the factor by ``factor(jac, order)``; returns its solve."""
-        first = self.solve is None
-        # past wrappers that set __wrapped__, to the factor's own method
-        trim = not first and not isinstance(
-            getattr(inspect.unwrap(self.solve), "__self__", None), BandedCholesky)
+    def refactor(self, jac):
+        """Replace the factor by the factors of jac (see ``splu``); returns
+        their solve. Raises SingularJacobian when jac cannot be factored."""
         self.solve = None
-        self.order = _order_for(jac, self.order)
-        if (trim or (first and not self.order.banded)) and _malloc_trim is not None:
+        if callable(self.order):
+            self.order = self.order()
+        if self.order is None or not self.order.fits(jac):
+            self.order = BandOrder(jac)
+        if not (self._banded and self.order.banded) and _malloc_trim is not None:
             _malloc_trim(0)
-        self.solve = factor(jac, self.order)
+        try:
+            lu = splu(jac, self.order)
+        except RuntimeError as exc:
+            raise SingularJacobian(f"sparse factorization failed: {exc}") from exc
+        self._banded = getattr(lu, "banded", False)
+        self.solve = lu.solve
         self.factorizations += 1
         return self.solve
 
@@ -357,29 +354,24 @@ def _at_rounding_floor(jac, u, rnorm):
     return rnorm <= 1e3 * floor
 
 
-def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held=None, order=None):
-    """Damped Newton with sparse direct solves, Euclidean merit function and
-    Armijo backtracking; with a HeldFactor ``held``, chord steps reuse its
-    factor (see splitting.damped_newton). Without one, every step refactors
-    on one BandOrder, starting from ``order`` (as for HeldFactor) and
-    rebuilt only when the Jacobian's pattern changes.
-
-    Returns (u, iterations, residual_norm). Raises SingularJacobian when a
-    factorization fails and NonConvergence (with history) otherwise. A
-    line-search stall at the rounding floor of the current iterate scale
-    (which an absolute tolerance cannot beat once iterates grow large, as
-    in diverging outer iterations) returns the floor-accurate solution
-    instead of raising.
+def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord=True):
+    """splitting.damped_newton on the HeldFactor ``held`` with the Euclidean
+    merit function; returns (u, iterations, residual_norm). A line-search
+    stall at the rounding floor of the current iterate scale (which an
+    absolute tolerance cannot beat once iterates grow large, as in
+    diverging outer iterations) returns the floor-accurate solution.
     """
-    def factor(jac):
-        nonlocal order
-        order = _order_for(jac, order)
-        return _factor(jac, order)
-
-    result = damped_newton(residual_fn, jacobian_fn, _factor if held is not None else factor,
+    result = damped_newton(residual_fn, jacobian_fn, held,
                            lambda r: float(np.linalg.norm(r)), u0, tol, max_iter,
-                           at_floor=_at_rounding_floor, held=held)
+                           at_floor=_at_rounding_floor, chord=chord)
     return result.x, result.iterations, result.residual
+
+
+def load_tolerance(asm, problem, rtol):
+    """Absolute Newton tolerance of ``problem`` on ``asm``: rtol times the
+    load scale (the residual norm of the zero field), at least rtol."""
+    load = asm.residual(np.zeros(asm.n_dofs), problem)
+    return rtol * max(1.0, float(np.linalg.norm(load)))
 
 
 class SubdomainWorkspace:
@@ -413,8 +405,7 @@ class SubdomainWorkspace:
                              decomp.side_dofmap(side), degree)
         self.m = decomp.side_dofmap(side).n_interior
         self.k = decomp.n_interface
-        load = self.asm.residual(np.zeros(self.asm.n_dofs), problem)
-        self.newton_tol = newton_rtol * max(1.0, float(np.linalg.norm(load)))
+        self.newton_tol = load_tolerance(self.asm, problem, newton_rtol)
         self.newton_max = newton_max
         self.newton_iters = 0  # cumulative, across all solves
         # up to two (datum, field) pairs per solve kind, newest last
@@ -596,7 +587,7 @@ class SubdomainWorkspace:
             w = self.dirichlet_solve(InterfaceVector(nu_data))
             jac = self.asm.jacobian(w.data, self.problem)
             self._tangent = None  # a failed factorization leaves no stale entry
-            self._held["tangent"].refactor(_factor, jac[: self.m, : self.m])
+            self._held["tangent"].refactor(jac[: self.m, : self.m])
             self._tangent = (key, jac)
         return self._tangent[1], self._held["tangent"].solve
 

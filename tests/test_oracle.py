@@ -13,7 +13,8 @@ from ddsemi.oracle import (TooLarge, dense_brute_force, fd_check,
 from ddsemi.problems import (SemilinearProblem, cubic_reaction_problem,
                              linear_problem, p_laplace_problem)
 from ddsemi.splitting import NonConvergence, SingularJacobian
-from ddsemi.subdomain import InterfaceVector, SubdomainWorkspace, shared_order, sparse_newton
+from ddsemi.subdomain import (HeldFactor, InterfaceVector, SubdomainWorkspace, shared_order,
+                              sparse_newton)
 from tests.test_assembly import right_triangle_mesh
 
 
@@ -151,7 +152,8 @@ def zero_start(prob, mesh, newton_rtol=1e-12):
                                                                    prob))))
     u, steps, _ = sparse_newton(lambda v: asm.residual(v, prob),
                                 lambda v: asm.jacobian(v, prob),
-                                np.zeros(dofmap.n_dofs), tol, 50, order=shared_order(asm))
+                                np.zeros(dofmap.n_dofs), tol, 50,
+                                HeldFactor(shared_order(asm)), chord=False)
     return u, steps, tol
 
 
@@ -213,10 +215,10 @@ class TestNestedReference:
         expected, steps, _ = zero_start(prob, mesh)
         coarse_steps = []
 
-        def failing_chord(residual_fn, jacobian_fn, u0, *args, held=None, **kwargs):
-            if held is not None:
+        def failing_chord(residual_fn, jacobian_fn, u0, *args, chord=True, **kwargs):
+            if chord:
                 raise NonConvergence("nested start failed", iterations=3)
-            out = sparse_newton(residual_fn, jacobian_fn, u0, *args, held=held, **kwargs)
+            out = sparse_newton(residual_fn, jacobian_fn, u0, *args, chord=chord, **kwargs)
             coarse_steps.append(out[1])
             return out
 
@@ -225,6 +227,26 @@ class TestNestedReference:
         assert sol.field.data.tobytes() == expected.tobytes()
         # the coarse level, the three discarded steps and the zero start
         assert sol.newton_iterations == coarse_steps[0] + 3 + steps
+
+    def test_fallback_runs_on_the_held_factor_of_its_level(self, monkeypatch):
+        # the nested attempt and the zero start of one level share one
+        # HeldFactor, so at most one factor of the level is alive at a time
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 20)
+        calls = []
+
+        def failing_chord(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord=True):
+            calls.append((len(u0), held, chord))
+            if chord:
+                held.refactor(jacobian_fn(u0))
+                raise NonConvergence("nested start failed", iterations=1)
+            return sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord)
+
+        monkeypatch.setattr(oracle, "sparse_newton", failing_chord)
+        solve_monolithic(prob, mesh)
+        (coarse, coarse_held, coarse_chord), (fine, held, chord), (again, held_again, fallback) = calls
+        assert coarse < fine == again and not coarse_chord and chord and not fallback
+        assert held_again is held and held is not coarse_held
+        assert held.factorizations > 1
 
     @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
     def test_zero_start_budget_still_converges(self, make_problem):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ddsemi.splitting import (CHORD_THETA, CallableOperator, HilbertSpace, IterationConfig,
-                              MatrixOperator, NonConvergence, SingularJacobian,
+from ddsemi.splitting import (CHORD_THETA, CallableOperator, DenseFactor, HilbertSpace,
+                              IterationConfig, MatrixOperator, NonConvergence, SingularJacobian,
                               SplittingProblem, damped_newton, invert_operator,
                               monotonicity_probe, newton_invert,
                               splitting_iterate)
@@ -58,7 +58,7 @@ class TestInvertOperator:
         # NaN > tol is False, so a NaN start must not count as converged
         with pytest.raises(NonConvergence, match="not finite"):
             damped_newton(lambda x: np.full(2, np.nan), lambda x: np.eye(2),
-                          np.linalg.solve, np.linalg.norm, np.zeros(2), 1e-12, 10)
+                          DenseFactor(), np.linalg.norm, np.zeros(2), 1e-12, 10)
 
     def test_singular_jacobian_raises(self):
         op = MatrixOperator(np.zeros((3, 3)))
@@ -82,21 +82,28 @@ class TestInvertOperator:
         assert space.dual_norm(a @ x - psi) <= 1e-11
 
 
-class _Held:
-    """Held factor for damped_newton that counts its refactors."""
+class _Held(DenseFactor):
+    """Dense held factor for damped_newton that starts from the factor of
+    ``jac``, counts its refactors and calls ``seen()`` before each one."""
 
-    def __init__(self, solve):
-        self.solve = solve
+    def __init__(self, jac, seen=None):
+        super().refactor(jac)
         self.refactors = 0
+        self.seen = seen
 
-    def refactor(self, factor, jac):
+    def refactor(self, jac):
+        if self.seen is not None:
+            self.seen()
         self.refactors += 1
-        self.solve = factor(jac)
-        return self.solve
+        return super().refactor(jac)
 
 
-def _dense_factor(jac):
-    return lambda rhs: np.linalg.solve(jac, rhs)
+def _cubic(x):
+    return x + x ** 3 - 10.0
+
+
+def _cubic_slope(x):
+    return np.array([[1.0 + 3.0 * x[0] ** 2]])
 
 
 class TestChordNewton:
@@ -105,25 +112,51 @@ class TestChordNewton:
         rng = np.random.default_rng(6)
         a = random_spd(4, rng)
         b = rng.standard_normal(4)
-        held = _Held(_dense_factor(a))
-        result = damped_newton(lambda x: a @ x - b, lambda x: a, _dense_factor,
-                               np.linalg.norm, np.zeros(4), 1e-12, 10, held=held)
+        held = _Held(a)
+        result = damped_newton(lambda x: a @ x - b, lambda x: a, held,
+                               np.linalg.norm, np.zeros(4), 1e-12, 10, chord=True)
         assert held.refactors == 0
         assert result.iterations == 1
         assert np.linalg.norm(a @ result.x - b) <= 1e-12
 
+    def test_without_chord_every_step_refactors(self):
+        # the same exact factor is not tried without chord
+        rng = np.random.default_rng(6)
+        a = random_spd(4, rng)
+        b = rng.standard_normal(4)
+        held = _Held(a)
+        result = damped_newton(lambda x: a @ x - b, lambda x: a, held,
+                               np.linalg.norm, np.zeros(4), 1e-12, 10)
+        assert held.refactors == result.iterations == 1
+
     def test_stale_held_factor_refactors(self):
         # x + x^3 = 10 from x = 3 with the held slope 1 of the linearization
         # at 0: the chord step lands at -17 and must be refused
-        stale = _dense_factor(np.eye(1))
-        held = _Held(stale)
-        result = damped_newton(lambda x: x + x ** 3 - 10.0,
-                               lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
-                               _dense_factor, np.linalg.norm, np.array([3.0]), 1e-12, 50,
-                               held=held)
+        held = _Held(np.eye(1))
+        stale = held.solve
+        result = damped_newton(_cubic, _cubic_slope, held, np.linalg.norm, np.array([3.0]),
+                               1e-12, 50, chord=True)
         assert held.refactors >= 1
         assert held.solve is not stale
         assert abs(result.x[0] + result.x[0] ** 3 - 10.0) <= 1e-12
+        assert abs(result.x[0] - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("slope_at, x0", [(0.0, 3.0), (2.5, 2.5)],
+                             ids=["refused-trial", "armijo-kept-trial"])
+    def test_held_factor_is_freed_before_the_jacobian(self, slope_at, x0):
+        # the factor of a refused chord trial (stale slope, as above) and of an
+        # Armijo-kept one (as below) is dropped before the next assembly
+        held = _Held(_cubic_slope(np.array([slope_at])))
+        assemblies = []
+
+        def jacobian(x):
+            assert held.solve is None
+            assemblies.append(x[0])
+            return _cubic_slope(x)
+
+        result = damped_newton(_cubic, jacobian, held, np.linalg.norm, np.array([x0]),
+                               1e-12, 50, chord=True)
+        assert len(assemblies) == held.refactors >= 1
         assert abs(result.x[0] - 2.0) < 1e-12
 
     def test_armijo_chord_step_is_kept(self):
@@ -133,18 +166,12 @@ class TestChordNewton:
 
         def residual(x):
             points.append(x[0])
-            return x + x ** 3 - 10.0
+            return _cubic(x)
 
-        held = _Held(_dense_factor(np.array([[1.0 + 3.0 * 2.5 ** 2]])))
         refactored_at = []
-
-        def factor(jac):
-            refactored_at.append(len(points))
-            return _dense_factor(jac)
-
-        result = damped_newton(residual, lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
-                               factor, np.linalg.norm, np.array([2.5]), 1e-12, 50,
-                               held=held)
+        held = _Held(_cubic_slope(np.array([2.5])), lambda: refactored_at.append(len(points)))
+        result = damped_newton(residual, _cubic_slope, held, np.linalg.norm, np.array([2.5]),
+                               1e-12, 50, chord=True)
         assert CHORD_THETA * result.history[0] < result.history[1] < result.history[0]
         # the chord point is the first iterate, and the next step refactors
         # there once and takes no second chord trial
@@ -158,10 +185,10 @@ class TestChordNewton:
     def test_nan_chord_step_refactors(self):
         # the stale slope 0.1 sends x = 0 to 10, where the residual is NaN:
         # the trial is discarded and Newton refactors at x = 0
-        held = _Held(_dense_factor(np.array([[0.1]])))
+        held = _Held(np.array([[0.1]]))
         result = damped_newton(lambda x: np.where(x < 5.0, x - 1.0, np.nan),
-                               lambda x: np.eye(1), _dense_factor, np.linalg.norm,
-                               np.zeros(1), 1e-12, 10, held=held)
+                               lambda x: np.eye(1), held, np.linalg.norm,
+                               np.zeros(1), 1e-12, 10, chord=True)
         assert held.refactors == 1
         assert result.iterations == 1
         assert result.x[0] == 1.0

@@ -1,4 +1,3 @@
-import functools
 import sys
 import threading
 
@@ -9,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import SuperLU
 
-from ddsemi import subdomain
+from ddsemi import oracle, subdomain
 from ddsemi.assembly import Assembler, interface_mass_matrix
 from ddsemi.iterations import DNConfig, run_dirichlet_neumann
 from ddsemi.mesh import build_rect_mesh, decompose_staircase, decompose_vertical
@@ -633,6 +632,18 @@ class TestInterfaceProblem:
         assert len(calls) == 1
 
 
+class _ForwardingLU:
+    """Stand-in for a factor that forwards every attribute to it, as a
+    tracer's wrapper of ``splu``'s result does."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.solve = lambda b: lu.solve(b)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
 def _assert_solves(a, b, expected):
     x = subdomain.splu(a).solve(b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -719,7 +730,7 @@ class TestFactorization:
         a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
         assert subdomain.BandOrder(a).banded
         with pytest.raises(SingularJacobian, match="factorization failed"):
-            subdomain._factor(a)
+            subdomain.HeldFactor().refactor(a)
 
     def test_wide_pattern_uses_superlu(self):
         n = subdomain.BAND_MAX + 2
@@ -801,13 +812,13 @@ class TestFactorization:
         penta = sp.diags([-1.0, -1.0, 6.0, -1.0, -1.0], [-2, -1, 0, 1, 2], shape=(n, n),
                          format="csr")
         b = np.arange(1.0, n + 1)
-        held.refactor(subdomain._factor, tri)
+        held.refactor(tri)
         order = held.order
-        held.refactor(subdomain._factor, 2.0 * tri)  # same pattern, new values
+        held.refactor(2.0 * tri)  # same pattern, new values
         assert held.order is order
         np.testing.assert_allclose(held.solve(b), np.linalg.solve(2.0 * tri.toarray(), b),
                                    rtol=1e-14)
-        held.refactor(subdomain._factor, penta)
+        held.refactor(penta)
         assert held.order is not order
         assert held.order.fits(penta) and not held.order.fits(tri)
         assert held.order.k == 2
@@ -822,19 +833,17 @@ class TestFactorization:
         n = 6
         spd = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
         indefinite = spd - sp.diags(8.0 * (np.arange(n) == 2), format="csr")
-
-        def wrapped(jac, order):  # a solve behind a wrapper, as a tracer installs it
-            solve = subdomain._factor(jac, order)
-            return functools.wraps(solve)(lambda b: solve(b))
-
-        for factor in (subdomain._factor, wrapped):
+        splu = subdomain.splu
+        # each factor as it is, then behind a forwarding stand-in, as a tracer installs it
+        for factor in (splu, lambda a, order: _ForwardingLU(splu(a, order))):
+            monkeypatch.setattr(subdomain, "splu", factor)
             held, trims[:] = subdomain.HeldFactor(), []
-            held.refactor(factor, spd)
-            held.refactor(factor, indefinite)
+            held.refactor(spd)
+            held.refactor(indefinite)
             assert held.order.banded and trims == []
-            held.refactor(factor, spd)
+            held.refactor(spd)
             assert trims == [0]
-            held.refactor(factor, spd)
+            held.refactor(spd)
             assert trims == [0]
 
     def test_first_factor_on_a_wide_order_is_trimmed_before(self, monkeypatch):
@@ -844,13 +853,13 @@ class TestFactorization:
         monkeypatch.setattr(subdomain, "_malloc_trim", trims.append)
         spd = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csr")
         held = subdomain.HeldFactor()
-        held.refactor(subdomain._factor, spd)
+        held.refactor(spd)
         assert held.order.banded and trims == []
         monkeypatch.setattr(subdomain, "BAND_MAX", 0)
         held = subdomain.HeldFactor()
-        held.refactor(subdomain._factor, spd)
+        held.refactor(spd)
         assert not held.order.banded and trims == [0]
-        held.refactor(subdomain._factor, spd)
+        held.refactor(spd)
         assert trims == [0, 0]
 
     def test_reference_solve_builds_one_order(self, monkeypatch):
@@ -868,7 +877,8 @@ class TestFactorization:
         assert ref.newton_iterations > 1
         assert len(builds) == 1
         # an order built afresh for each step gives the same field bit for bit
-        monkeypatch.setattr(subdomain, "_order_for", lambda jac, order: CountedOrder(jac))
+        monkeypatch.setattr(oracle, "shared_order", lambda asm: None)
+        monkeypatch.setattr(CountedOrder, "fits", lambda self, a: False)
         assert solve_monolithic(prob, mesh).field.data.tobytes() == ref.field.data.tobytes()
         assert len(builds) == 1 + ref.newton_iterations
 
@@ -899,6 +909,47 @@ class TestFactorization:
         for ws, kind in ((ws1, "dirichlet"), (ws2, "dirichlet"), (ws2, "neumann")):
             assert ws._held[kind].order is first[ws.side - 1]._held[kind].order
         assert ws2._held["dirichlet"].order.k < ws2._held["neumann"].order.k
+
+    def test_shared_order_function_is_called_once(self):
+        calls = []
+        order = subdomain.BandOrder(_spd_band_matrix())
+        held = subdomain.HeldFactor(lambda: calls.append(1) or order)
+        for scale in (1.0, 2.0, 3.0):
+            held.refactor(scale * _spd_band_matrix())
+        assert calls == [1] and held.order is order and held.factorizations == 3
+
+    def test_first_robin_factor_misses_the_shared_order(self, monkeypatch):
+        # jac + robin_s * M is a sparse sum, which drops the exact zeros of the
+        # Jacobian at u = 0: the first Robin factorization of a side needs an
+        # order of its own pattern, and the next one, at a nonzero field,
+        # another one of the full pattern (not the shared object), which
+        # serves from then on
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 12)
+        decomp = decompose_vertical(mesh, 1.5)
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        pattern = ws.asm.geometry.pattern()
+        shared = subdomain.shared_order(ws.asm)()
+        builds = []
+
+        class CountedOrder(subdomain.BandOrder):
+            def __init__(self, a):
+                builds.append(a.nnz)
+                super().__init__(a)
+
+        monkeypatch.setattr(subdomain, "BandOrder", CountedOrder)
+        g = InterfaceVector(np.full(decomp.n_interface, 0.3), dual=True)
+        u = ws.robin_solve(g, 2.0)
+        zero = ws.asm.jacobian(np.zeros(ws.asm.n_dofs), prob) + 2.0 * ws._mass_gamma_embedded
+        assert zero.nnz < pattern.nnz
+        assert builds == [zero.nnz, pattern.nnz]
+        held = ws._held["robin"]
+        assert held.order.fits(pattern) and held.order is not shared
+        factorizations = held.factorizations
+        ws.robin_solve(1.5 * g, 2.0)
+        assert held.factorizations > factorizations and len(builds) == 2
+        r = ws.asm.residual(u.data, prob)
+        r[ws.m:] += 2.0 * (ws.mass_gamma @ u.data[ws.m:]) - g.data
+        assert np.linalg.norm(r) <= ws.newton_tol
 
 
 def _spd_band_matrix(n=40):

@@ -1,4 +1,4 @@
-"""Full-scale timings: the reference solve and a DN run at h = 1/128 and 1/256.
+"""Full-scale timings: the reference solve, a DN and an RR run at h = 1/128 and 1/256.
 
     python tools/full_scale.py --src SRC --label NAME [--out BENCH_full.json]
 
@@ -10,12 +10,10 @@ process at a time, and reports its own peak resident set size:
 - ``ref-cubic``, ``ref-plaplace``: ``solve_monolithic`` of example1 or of
   the p-Laplace problem on the 3 x 2 rectangle: seconds of the call,
   Newton steps (of every level) and peak RSS;
-- ``dn``: ``ddsemi run --method dn --h H`` into an empty output directory,
-  so the reference cache starts empty: wall seconds of the command (mesh,
-  decomposition, reference and run), outer steps, factorizations, final
-  error and peak RSS.
-
-RR is not run at full scale (``RR_LEFT_OUT``, also written to the output).
+- ``dn``, ``rr``: ``ddsemi run --method dn|rr --h H`` into an empty output
+  directory, so the reference cache starts empty: wall seconds of the
+  command (mesh, decomposition, reference and run), outer steps,
+  factorizations, final error and peak RSS.
 
 Runs are appended to the output file under NAME, so that two trees run
 alternately land side by side; the file also records the machine.
@@ -33,9 +31,7 @@ import time
 from fractions import Fraction
 
 SIZES = ("1/128", "1/256")
-CASES = ("ref-cubic", "ref-plaplace", "dn")
-RR_LEFT_OUT = ("not run at full scale: RR takes about five times DN's outer steps, "
-               "so one run at h = 1/256 would take many minutes")
+CASES = ("ref-cubic", "ref-plaplace", "dn", "rr")
 WIDTH, HEIGHT = 3.0, 2.0
 
 
@@ -49,10 +45,10 @@ def run_case(case, h):
     from ddsemi.mesh import build_rect_mesh
     from ddsemi.oracle import solve_monolithic
 
-    if case == "dn":
+    if case in ("dn", "rr"):
         with tempfile.TemporaryDirectory() as out:
             start = time.perf_counter()
-            code = cli.main(["run", "--method", "dn", "--h", h, "--output-dir", out])
+            code = cli.main(["run", "--method", case, "--h", h, "--output-dir", out])
             seconds = time.perf_counter() - start
             with open(os.path.join(out, "summary.json")) as f:
                 summary = json.load(f)[0]
@@ -109,7 +105,6 @@ def main(argv=None):
         with open(args.out) as f:
             results = json.load(f)
     results["machine"] = machine()
-    results["rr"] = RR_LEFT_OUT
     tree = results.setdefault("trees", {}).setdefault(args.label, {})
     for h in SIZES:
         for case in CASES:
