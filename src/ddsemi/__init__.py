@@ -9,13 +9,11 @@ validate them.
 """
 
 from .assembly import (Assembler, FieldVector, NonFiniteCoefficient,
-                       assemble_jacobian, assemble_residual,
                        interface_mass_matrix)
 from .iterations import (DNConfig, EquivalenceViolation, MeshMismatch,
                          MethodReport, NNConfig, RelativeFieldError, RRConfig,
-                         compute_error, run_dirichlet_neumann,
-                         run_neumann_neumann, run_robin_robin,
-                         verify_lemma_equivalence)
+                         run_dirichlet_neumann, run_neumann_neumann,
+                         run_robin_robin, verify_lemma_equivalence)
 from .mesh import (CutOffGrid, Decomposition, DisconnectedPath, DofMap,
                    NonIntegerSubdivision, PathNotOnGrid, TriMesh,
                    build_rect_mesh, decompose_staircase, decompose_vertical,
@@ -28,8 +26,7 @@ from .quadrature import QuadratureRule, UnsupportedDegree, quadrature_rule
 from .splitting import (CallableOperator, HilbertSpace, IterationConfig,
                         IterationTrace, MatrixOperator, MonotoneOperator,
                         NonConvergence, SingularJacobian, SplittingProblem,
-                        invert_operator, monotonicity_probe, newton_invert,
-                        splitting_iterate)
+                        monotonicity_probe, newton_invert, splitting_iterate)
 from .subdomain import (InterfaceVector, SteklovOperator, SubdomainWorkspace,
                         sparse_newton)
 

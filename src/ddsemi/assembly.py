@@ -427,16 +427,6 @@ class Assembler:
                              shape=(self.n_dofs, self.n_dofs))
 
 
-def assemble_residual(u, prob, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
-    """One-shot residual over a triangle subset; see Assembler.residual."""
-    return Assembler(mesh, tris, dofmap, degree).residual(u, prob)
-
-
-def assemble_jacobian(w, prob, mesh, tris, dofmap, degree=DEFAULT_DEGREE):
-    """One-shot Jacobian over a triangle subset; see Assembler.jacobian."""
-    return Assembler(mesh, tris, dofmap, degree).jacobian(w, prob)
-
-
 def interface_mass_matrix(decomp):
     """1D P1 mass matrix of L2(Gamma) on the interface dofs.
 

@@ -11,7 +11,6 @@ coefficient, 2 configuration error.
 
 import argparse
 import importlib
-import io
 import json
 import math
 import os
@@ -230,9 +229,7 @@ def make_decomposition(mesh, spec):
 def _write_report_csv(report, path, timing):
     if not timing:
         report = replace(report, rows=[replace(row, seconds=0.0) for row in report.rows])
-    buf = io.StringIO()
-    report.to_csv(buf)
-    atomic_write(path, buf.getvalue())
+    atomic_write(path, report.to_csv())
 
 
 def _dump_json(obj, path):

@@ -4,7 +4,8 @@ All three methods iterate on the interface trace of a two-subdomain
 decomposition and report per-iteration field errors against a monolithic
 reference, the interface dual residual (coefficient 2-norm of the summed
 flux functionals), wall time, and subdomain Newton counts; a report also
-counts the sparse factorizations of the whole run.
+counts the sparse factorizations of the whole run, and renders itself as
+CSV or JSON text for the caller to write.
 
 The Dirichlet-Neumann method is available in two algebraically equivalent
 formulations: the subdomain form (alternating constrained and coupled
@@ -188,8 +189,8 @@ class MethodReport:
                 out.append(b.error / a.error)
         return np.array(out)
 
-    def to_csv(self, target):
-        """Write rows as CSV (fixed schema, '.' decimal, blank error cells
+    def to_csv(self):
+        """Rows as CSV text (fixed schema, '.' decimal, blank error cells
         when no reference was supplied)."""
         def fmt(x):
             return "" if x is None or (isinstance(x, float) and np.isnan(x)) else repr(float(x))
@@ -198,7 +199,7 @@ class MethodReport:
         for row in self.rows:
             lines.append(",".join([str(row.n), fmt(row.error), fmt(row.residual),
                                    str(row.newton1), str(row.newton2), fmt(row.seconds)]))
-        _write_text(target, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
 
     def summary(self, h=None, s=None):
         return {
@@ -215,8 +216,8 @@ class MethodReport:
             "factorizations": self.factorizations,
         }
 
-    def to_json(self, target=None, h=None, s=None):
-        """Summary plus per-iteration rows as a JSON document."""
+    def to_json(self, h=None, s=None):
+        """Summary plus per-iteration rows as JSON text."""
         def clean(x):
             return None if isinstance(x, float) and np.isnan(x) else x
 
@@ -224,18 +225,7 @@ class MethodReport:
         obj["rows"] = [{"n": r.n, "error": clean(r.error), "residual": r.residual,
                         "newton1": r.newton1, "newton2": r.newton2,
                         "seconds": r.seconds} for r in self.rows]
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-        if target is not None:
-            _write_text(target, text)
-        return text
-
-
-def _write_text(target, text):
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as f:
-            f.write(text)
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 class RelativeFieldError:
@@ -276,11 +266,6 @@ class RelativeFieldError:
                 raise MeshMismatch(f"side {side} field has wrong length")
             num += self.side_norm(side, v - self._ref[side - 1])
         return num / self._denom if self._denom > 0 else num
-
-
-def compute_error(u1, u2, reference, mesh, decomp, degree=4):
-    """One-shot relative field error; see RelativeFieldError."""
-    return RelativeFieldError(mesh, decomp, reference, degree)(u1, u2)
 
 
 class _RowRecorder:
@@ -379,9 +364,8 @@ def _dn_interface_steps(cfg, ws1, ws2, eta, record):
     Steklov-Poincare operators with zero right-hand side."""
     problem = SplittingProblem(SteklovOperator(ws1), SteklovOperator(ws2),
                                np.zeros(len(eta)))
-    icfg = IterationConfig(s=cfg.s, eta0=eta.data,
-                           newton_tol=min(ws1.newton_tol, ws2.newton_tol),
-                           newton_max=ws2.newton_max)
+    # side 2's operator inverts at its workspace's Newton tolerance and budget
+    icfg = IterationConfig(s=cfg.s, eta0=eta.data)
 
     def add(n, vec, residual, _newton_iters):
         # both operators were just applied at vec, so these repeat

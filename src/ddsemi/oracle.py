@@ -20,7 +20,8 @@ from .mesh import build_rect_mesh, mesh_global_dofmap, prolong_p1
 from .problems import P_LAPLACE
 from .quadrature import quadrature_rule
 from .splitting import NonConvergence, SingularJacobian
-from .subdomain import HeldFactor, load_tolerance, shared_order, sparse_newton
+from .subdomain import (HeldFactor, InterfaceVector, load_tolerance, shared_order,
+                        sparse_newton)
 
 DENSE_NODE_LIMIT = 60
 # The reference solve starts from the solution on the 2h mesh when that mesh
@@ -54,8 +55,6 @@ class MonolithicSolution:
 
     def trace(self, decomp):
         """Interface coefficients of the solution (primal)."""
-        from .subdomain import InterfaceVector
-
         gdof = decomp.global_dofmap().dof_of_node[decomp.interface_nodes]
         return InterfaceVector(self.field.data[gdof].copy())
 
@@ -170,7 +169,11 @@ def solve_monolithic(prob, mesh, degree=DEFAULT_DEGREE, newton_rtol=1e-12,
     With ``cache_dir`` set and a named problem, coefficients on mesh are
     cached on disk (header + little-endian float64 payload, written
     atomically); a hit takes no Newton step. Coarse levels are not cached.
+    A newton_rtol that is not finite and >= 0 or a newton_max below 1
+    raises ValueError.
     """
+    if not newton_max >= 1:
+        raise ValueError(f"newton_max must be at least 1, got {newton_max!r}")
     dofmap = mesh_global_dofmap(mesh)
     key = None
     path = None

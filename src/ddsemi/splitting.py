@@ -4,8 +4,8 @@ Solves G1(eta) + G2(eta) = chi in a finite-dimensional Hilbert space by
 
     eta_{n+1} = (1 - s) * eta_n + s * G2^{-1}(chi - G1(eta_n)),
 
-with the inverse realized by damped Newton unless the operator supplies
-its own. The engine is generic over operators: the matrix-scale test
+with the inverse realized by damped Newton (``newton_invert``) unless the
+operator supplies its own. The engine is generic over operators: the matrix-scale test
 battery and the interface (Steklov-Poincare) layer both drive it.
 
 Every solver in the package shares the two loops defined here:
@@ -247,14 +247,6 @@ def newton_invert(g, psi, x0, tol, max_iter, space=None):
     return damped_newton(lambda x: g.apply(x) - psi,
                          lambda x: np.asarray(g.jacobian(x), dtype=float),
                          DenseFactor(), space.dual_norm, x0, tol, max_iter)
-
-
-def invert_operator(g, psi, x0=None, tol=1e-12, max_iter=50, space=None):
-    """Solve g.apply(x) = psi to dual-residual tolerance ``tol``."""
-    psi = np.asarray(psi, dtype=float)
-    if x0 is None:
-        x0 = np.zeros_like(psi)
-    return newton_invert(g, psi, x0, tol, max_iter, space).x
 
 
 @dataclass

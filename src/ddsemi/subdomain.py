@@ -10,12 +10,12 @@ solve assembled. Local coefficient vectors are laid out
 The Steklov-Poincare action of a trace eta is the interface block of the
 assembled residual at the constrained subdomain solution; its inverse is a
 coupled solve over interior and interface unknowns. All four nonlinear
-solves run one Newton kernel, which reuses the held factor of its kind
-across Newton steps and solves (chord Newton). Every sparse factorization
-goes through ``HeldFactor.refactor`` and one entry point, ``splu``:
-LAPACK's banded Cholesky on a reverse Cuthill-McKee order, built once per
-pattern (``shared_order``), for narrow symmetric positive definite
-matrices, SuperLU for all others.
+solves run one Newton kernel to the workspace's Newton tolerance, which
+reuses the held factor of its kind across Newton steps and solves (chord
+Newton). Every sparse factorization goes through ``HeldFactor.refactor``
+and one entry point, ``splu``: LAPACK's banded Cholesky on a reverse
+Cuthill-McKee order, built once per pattern (``shared_order``), for narrow
+symmetric positive definite matrices, SuperLU for all others.
 """
 
 import ctypes
@@ -369,7 +369,10 @@ def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord=True)
 
 def load_tolerance(asm, problem, rtol):
     """Absolute Newton tolerance of ``problem`` on ``asm``: rtol times the
-    load scale (the residual norm of the zero field), at least rtol."""
+    load scale (the residual norm of the zero field), at least rtol. Raises
+    ValueError, before it assembles, unless rtol is finite and >= 0."""
+    if not (np.isfinite(rtol) and rtol >= 0):
+        raise ValueError(f"Newton tolerance must be finite and non-negative, got {rtol!r}")
     load = asm.residual(np.zeros(asm.n_dofs), problem)
     return rtol * max(1.0, float(np.linalg.norm(load)))
 
@@ -378,12 +381,14 @@ class SubdomainWorkspace:
     """Solver state for one subdomain of a decomposition.
 
     newton_rtol is relative to the load scale (the residual norm of the
-    zero field), giving an absolute tolerance that warm starts cannot
-    over-tighten. Each solve starts from the secant prediction of its last
-    two solved (interface datum, field) pairs (``_secant_start``), so
-    repeating a solve takes no Newton step and returns the same field, and
-    its Newton steps reuse the kind's held factor while that factor keeps
-    contracting the residual.
+    zero field), giving an absolute tolerance ``newton_tol`` that warm
+    starts cannot over-tighten; every solve runs Newton to it, with at most
+    ``newton_max`` steps. A newton_rtol that is not finite and >= 0 or a
+    newton_max below 1 raises ValueError. Each solve starts from the secant
+    prediction of its last two solved (interface datum, field) pairs
+    (``_secant_start``), so repeating a solve takes no Newton step and
+    returns the same field, and its Newton steps reuse the kind's held
+    factor while that factor keeps contracting the residual.
 
     The Neumann, Robin and correction solves each keep their own pairs,
     with the datum psi, g or rho; the Robin pairs are dropped when
@@ -397,6 +402,8 @@ class SubdomainWorkspace:
 
     def __init__(self, mesh, decomp, problem, side,
                  degree=DEFAULT_DEGREE, newton_rtol=1e-12, newton_max=50):
+        if not newton_max >= 1:
+            raise ValueError(f"newton_max must be at least 1, got {newton_max!r}")
         self.mesh = mesh
         self.decomp = decomp
         self.problem = problem
@@ -440,13 +447,6 @@ class SubdomainWorkspace:
             raise ValueError(f"interface vector length {len(vec)} != {self.k}")
         return vec.data
 
-    def _tolerance(self, tol):
-        if tol is None:
-            return self.newton_tol
-        if not (np.isfinite(tol) and tol >= 0):
-            raise ValueError(f"Newton tolerance must be finite and non-negative, got {tol!r}")
-        return tol
-
     def trace(self, u):
         """Interface coefficients of a subdomain field (primal)."""
         return InterfaceVector(u.data[self.m:].copy())
@@ -487,7 +487,7 @@ class SubdomainWorkspace:
 
     # -- nonlinear solves ---------------------------------------------------
 
-    def _solve(self, problem, kind, tol, eta=None, psi=None, robin_s=None):
+    def _solve(self, problem, kind, eta=None, psi=None, robin_s=None):
         """Damped Newton on the subdomain operator of ``problem``, started
         from the secant prediction of the pairs of ``kind`` (see the class)
         and with the held factor of ``kind``. The caller gets a copy, never
@@ -526,8 +526,8 @@ class SubdomainWorkspace:
             jac = self.asm.jacobian(full, problem, interior=eta is not None)
             return jac if robin_s is None else jac + robin_s * self._mass_gamma_embedded
 
-        x, iters, _ = sparse_newton(residual, jacobian, full[:free], tol, self.newton_max,
-                                    self._held[kind])
+        x, iters, _ = sparse_newton(residual, jacobian, full[:free], self.newton_tol,
+                                    self.newton_max, self._held[kind])
         self.newton_iters += iters
         full[:free] = x
         self._pairs[kind] = _recorded(pairs, full[m:] if eta is not None else psi.copy(), full)
@@ -537,7 +537,7 @@ class SubdomainWorkspace:
             self._pairs["dirichlet"] = _recorded(self._pairs["dirichlet"], full[m:], full)
         return FieldVector(full.copy(), m)
 
-    def dirichlet_solve(self, eta, tol=None):
+    def dirichlet_solve(self, eta):
         """Subdomain solution with trace constrained to eta.
 
         The interface block of the result equals eta exactly (elimination,
@@ -545,28 +545,27 @@ class SubdomainWorkspace:
         tolerance.
         """
         eta_data = self._require(eta, dual=False)
-        return self._solve(self.problem, "dirichlet", self._tolerance(tol), eta=eta_data)
+        return self._solve(self.problem, "dirichlet", eta=eta_data)
 
-    def apply_steklov_poincare(self, eta, tol=None):
+    def apply_steklov_poincare(self, eta):
         """Dual interface vector of the flux functional at trace eta."""
-        u = self.dirichlet_solve(eta, tol)
+        u = self.dirichlet_solve(eta)
         return self.interface_residual(u)
 
-    def neumann_solve(self, psi, tol=None):
+    def neumann_solve(self, psi):
         """Coupled solve: interior residual zero, interface residual psi.
 
         Equivalently the subdomain field whose Steklov-Poincare action is
         psi; its trace realizes the inverse interface operator.
         """
-        return self._solve(self.problem, "neumann", self._tolerance(tol),
-                           psi=self._require(psi, dual=True))
+        return self._solve(self.problem, "neumann", psi=self._require(psi, dual=True))
 
-    def robin_solve(self, g, robin_s, tol=None):
+    def robin_solve(self, g, robin_s):
         """Solve with Robin coupling: interface residual + s*M_Gamma*trace = g."""
-        return self._solve(self.problem, "robin", self._tolerance(tol),
-                           psi=self._require(g, dual=True), robin_s=robin_s)
+        return self._solve(self.problem, "robin", psi=self._require(g, dual=True),
+                           robin_s=robin_s)
 
-    def neumann_correction_solve(self, psi, tol=None):
+    def neumann_correction_solve(self, psi):
         """Zero-load coupled solve: the subdomain operator without its
         source, driven purely by the interface data psi.
 
@@ -574,7 +573,7 @@ class SubdomainWorkspace:
         a vanishing flux jump its solution vanishes (for reactions with
         beta(x, 0) = 0).
         """
-        return self._solve(self._correction_problem, "correction", self._tolerance(tol),
+        return self._solve(self._correction_problem, "correction",
                            psi=self._require(psi, dual=True))
 
     # -- linearized solves ----------------------------------------------------
@@ -626,6 +625,7 @@ class SteklovOperator(MonotoneOperator):
 
     def invert(self, psi, x0, tol, max_iter, space=None):
         before = self.ws.newton_iters
-        # warm starting lives in the workspace's field space; x0 is implied
-        u = self.ws.neumann_solve(InterfaceVector(psi, dual=True), tol)
+        # warm starting lives in the workspace's field space, so x0 is implied;
+        # the workspace's own Newton tolerance and budget replace tol and max_iter
+        u = self.ws.neumann_solve(InterfaceVector(psi, dual=True))
         return self.ws.trace(u).data, self.ws.newton_iters - before

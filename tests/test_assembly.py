@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ddsemi import assembly
 from ddsemi.assembly import (Assembler, FieldVector, NonFiniteCoefficient, _require_finite,
-                             assemble_jacobian, assemble_residual, interface_mass_matrix)
+                             interface_mass_matrix)
 from ddsemi.mesh import (DofMap, TriMesh, build_rect_mesh, decompose_staircase,
                          decompose_vertical)
 from ddsemi.oracle import dense_brute_force, mesh_global_dofmap
@@ -59,15 +59,14 @@ class TestResidual:
         m = build_rect_mesh(2, 1, 0.5)
         d = decompose_vertical(m, 1.0)
         dm = d.side_dofmap(1)
-        r = assemble_residual(np.zeros(dm.n_dofs), zero_problem(),
-                              m, d.side_triangles(1), dm)
+        r = Assembler(m, d.side_triangles(1), dm).residual(np.zeros(dm.n_dofs), zero_problem())
         assert (r == 0).all()
 
     def test_constant_load_single_triangle(self):
         # each load entry is -area/3 for constant unit source on a P1 triangle
         m = build_rect_mesh(1, 1, 1)
         dm = free_triangle_dofmap(m, 0)
-        r = assemble_residual(np.zeros(3), constant_source_problem(1.0), m, [0], dm)
+        r = Assembler(m, [0], dm).residual(np.zeros(3), constant_source_problem(1.0))
         np.testing.assert_allclose(r, np.full(3, -1.0 / 6.0), atol=1e-15)
 
     def test_constant_field_cubic_reaction(self):
@@ -76,13 +75,12 @@ class TestResidual:
         dm = free_triangle_dofmap(m, 0)
         c = 0.7
         prob = cubic_reaction_problem()
-        r = assemble_residual(np.full(3, c), prob, m, [0], dm)
-        grad_part = assemble_residual(
+        r = Assembler(m, [0], dm).residual(np.full(3, c), prob)
+        grad_part = Assembler(m, [0], dm).residual(
             np.full(3, c),
             SemilinearProblem(alpha=prob.alpha,
                               beta=lambda x, y, u: np.zeros_like(u),
-                              beta_y=prob.beta_y, source=prob.source),
-            m, [0], dm)
+                              beta_y=prob.beta_y, source=prob.source))
         reaction = r - grad_part
         np.testing.assert_allclose(reaction, np.full(3, 10 * c ** 3 * (0.5 / 3)),
                                    rtol=1e-14)
@@ -94,9 +92,9 @@ class TestResidual:
         rng = np.random.default_rng(0)
         u = 0.4 * rng.standard_normal(gdm.n_dofs)
         prob = cubic_reaction_problem()
-        total = assemble_residual(u, prob, m, np.arange(m.n_triangles), gdm)
-        part1 = assemble_residual(u, prob, m, d.side_triangles(1), gdm)
-        part2 = assemble_residual(u, prob, m, d.side_triangles(2), gdm)
+        total = Assembler(m, np.arange(m.n_triangles), gdm).residual(u, prob)
+        part1 = Assembler(m, d.side_triangles(1), gdm).residual(u, prob)
+        part2 = Assembler(m, d.side_triangles(2), gdm).residual(u, prob)
         np.testing.assert_allclose(part1 + part2, total, atol=1e-14)
 
     def test_negative_alpha_rejected(self):
@@ -107,7 +105,7 @@ class TestResidual:
                                 beta_y=lambda x, y, u: np.zeros_like(u),
                                 source=lambda x, y: np.zeros_like(x))
         with pytest.raises(ValueError, match="positive"):
-            assemble_residual(np.zeros(3), bad, m, [0], dm)
+            Assembler(m, [0], dm).residual(np.zeros(3), bad)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_alpha_rejected(self, value):
@@ -347,7 +345,7 @@ class TestJacobian:
         for h in (1.0, 0.5, 0.03125):
             m = right_triangle_mesh(h)
             dm = free_triangle_dofmap(m, 0)
-            jac = assemble_jacobian(np.zeros(3), zero_problem(), m, [0], dm)
+            jac = Assembler(m, [0], dm).jacobian(np.zeros(3), zero_problem())
             np.testing.assert_allclose(jac.toarray(), expected, atol=1e-13)
 
     def test_constant_field_mass_scaling(self):
@@ -356,8 +354,8 @@ class TestJacobian:
         dm = free_triangle_dofmap(m, 0)
         c = 0.3
         prob = cubic_reaction_problem()
-        jac = assemble_jacobian(np.full(3, c), prob, m, [0], dm).toarray()
-        stiff = assemble_jacobian(np.zeros(3), zero_problem(), m, [0], dm).toarray()
+        jac = Assembler(m, [0], dm).jacobian(np.full(3, c), prob).toarray()
+        stiff = Assembler(m, [0], dm).jacobian(np.zeros(3), zero_problem()).toarray()
         area = 0.5
         mass = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
         np.testing.assert_allclose(jac - stiff, 30 * c ** 2 * mass, rtol=1e-13)
@@ -370,8 +368,8 @@ class TestJacobian:
         dm = DofMap(nodes, nodes, m.n_nodes)  # every node free
         tris = np.arange(m.n_triangles)
         c, eps = 0.7, 0.25
-        jac = assemble_jacobian(np.full(m.n_nodes, c), p_laplace_problem(eps), m, tris, dm)
-        stiff = assemble_jacobian(np.zeros(m.n_nodes), zero_problem(), m, tris, dm)
+        jac = Assembler(m, tris, dm).jacobian(np.full(m.n_nodes, c), p_laplace_problem(eps))
+        stiff = Assembler(m, tris, dm).jacobian(np.zeros(m.n_nodes), zero_problem())
         gram = Assembler(m, tris, dm).h1_matrix()
         expected = eps * stiff.toarray() + (gram - stiff).toarray()
         assert_canonical_csr(jac)

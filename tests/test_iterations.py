@@ -1,4 +1,3 @@
-import io
 import time
 from dataclasses import asdict, replace
 from functools import partial
@@ -10,7 +9,7 @@ from ddsemi import assembly, iterations
 from ddsemi.assembly import Assembler
 from ddsemi.iterations import (DNConfig, EquivalenceViolation, IterationRow,
                                MeshMismatch, MethodReport, NNConfig,
-                               RelativeFieldError, RRConfig, compute_error,
+                               RelativeFieldError, RRConfig,
                                run_dirichlet_neumann, run_neumann_neumann,
                                run_robin_robin, verify_lemma_equivalence)
 from ddsemi.mesh import build_rect_mesh, decompose_vertical
@@ -60,8 +59,8 @@ def test_method_configs_share_one_base(cls, own):
 class TestComputeError:
     def test_reference_gives_zero(self, cubic_setup):
         prob, mesh, decomp, ref = cubic_setup
-        err = compute_error(ref.restrict(decomp, 1), ref.restrict(decomp, 2),
-                            ref, mesh, decomp)
+        err = RelativeFieldError(mesh, decomp, ref)(ref.restrict(decomp, 1),
+                                                    ref.restrict(decomp, 2))
         assert err == 0.0
 
     def test_doubled_reference_gives_one(self, cubic_setup):
@@ -70,7 +69,7 @@ class TestComputeError:
         u2 = ref.restrict(decomp, 2)
         u1.data *= 2
         u2.data *= 2
-        err = compute_error(u1, u2, ref, mesh, decomp)
+        err = RelativeFieldError(mesh, decomp, ref)(u1, u2)
         assert abs(err - 1.0) < 1e-13
 
     def test_known_bump_ratio(self, cubic_setup):
@@ -149,9 +148,7 @@ class TestMethodReport:
 
     def test_csv_schema(self):
         rep = self.synthetic()
-        buf = io.StringIO()
-        rep.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "n,error,residual,newton1,newton2,seconds"
         assert len(lines) == 41
         cells = lines[1].split(",")
@@ -160,9 +157,7 @@ class TestMethodReport:
 
     def test_csv_blank_error_without_reference(self):
         rows = [IterationRow(0, float("nan"), 1.0, 1, 1, 0.0)]
-        buf = io.StringIO()
-        MethodReport("dn", rows).to_csv(buf)
-        assert buf.getvalue().splitlines()[1].split(",")[1] == ""
+        assert MethodReport("dn", rows).to_csv().splitlines()[1].split(",")[1] == ""
 
     def test_summary_fields(self):
         rep = self.synthetic()

@@ -16,6 +16,7 @@ from ddsemi.splitting import NonConvergence, SingularJacobian
 from ddsemi.subdomain import (HeldFactor, InterfaceVector, SubdomainWorkspace, shared_order,
                               sparse_newton)
 from tests.test_assembly import right_triangle_mesh
+from tests.test_subdomain import BAD_NEWTON_SETTINGS
 
 
 class TestDenseEquivalence:
@@ -141,6 +142,16 @@ class TestMonolithic:
         a = solve_monolithic(prob, mesh)
         b = solve_monolithic(prob, mesh)
         assert (a.field.data == b.field.data).all()
+
+    @pytest.mark.parametrize("key, value", BAD_NEWTON_SETTINGS)
+    def test_bad_newton_settings_rejected(self, monkeypatch, key, value):
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran before the settings were checked")
+
+        monkeypatch.setattr(oracle, "sparse_newton", no_newton)
+        with pytest.raises(ValueError, match="newton_max|tolerance"):
+            solve_monolithic(cubic_reaction_problem(), build_rect_mesh(2, 1, 0.25),
+                             **{key: value})
 
 
 def zero_start(prob, mesh, newton_rtol=1e-12):

@@ -3,7 +3,7 @@ import pytest
 
 from ddsemi.splitting import (CHORD_THETA, CallableOperator, DenseFactor, HilbertSpace,
                               IterationConfig, MatrixOperator, NonConvergence, SingularJacobian,
-                              SplittingProblem, damped_newton, invert_operator,
+                              SplittingProblem, damped_newton,
                               monotonicity_probe, newton_invert,
                               splitting_iterate)
 
@@ -27,14 +27,14 @@ class TestInvertOperator:
         a = random_spd(5, rng)
         x_star = rng.standard_normal(5)
         psi = a @ x_star
-        x = invert_operator(MatrixOperator(a), psi, tol=1e-13)
+        x, _ = MatrixOperator(a).invert(psi, np.zeros(5), 1e-13, 50)
         # oracle: dense direct solve
         np.testing.assert_allclose(x, np.linalg.solve(a, psi), atol=1e-12)
         assert np.linalg.norm(x - x_star) < 1e-10
 
     def test_scalar_cubic(self):
         op = CallableOperator(lambda x: x + x ** 3, lambda x: np.array([[1 + 3 * x[0] ** 2]]))
-        x = invert_operator(op, np.array([2.0]), x0=np.array([0.5]), tol=1e-13)
+        x, _ = op.invert(np.array([2.0]), np.array([0.5]), 1e-13, 50)
         assert abs(x[0] - 1.0) < 1e-12  # 1 + 1**3 == 2
 
     def test_inverse_contract(self):
@@ -44,15 +44,15 @@ class TestInvertOperator:
                               lambda x: a + np.diag(3 * x ** 2))
         for _ in range(5):
             psi = rng.standard_normal(6)
-            x = invert_operator(op, psi, tol=1e-12)
+            x = newton_invert(op, psi, np.zeros(6), 1e-12, 50).x
             assert np.linalg.norm(op.apply(x) - psi) <= 1e-12
 
     def test_non_convergence_raises(self):
         rng = np.random.default_rng(3)
         a = random_spd(4, rng)
         with pytest.raises(NonConvergence):
-            invert_operator(MatrixOperator(a), rng.standard_normal(4),
-                            tol=1e-30, max_iter=3)
+            newton_invert(MatrixOperator(a), rng.standard_normal(4), np.zeros(4),
+                          tol=1e-30, max_iter=3)
 
     def test_nan_residual_raises(self):
         # NaN > tol is False, so a NaN start must not count as converged
@@ -63,13 +63,13 @@ class TestInvertOperator:
     def test_singular_jacobian_raises(self):
         op = MatrixOperator(np.zeros((3, 3)))
         with pytest.raises(SingularJacobian):
-            invert_operator(op, np.ones(3), tol=1e-10)
+            op.invert(np.ones(3), np.zeros(3), 1e-10, 50)
 
     def test_no_jacobian_capability(self):
         op = CallableOperator(lambda x: x)
         assert not op.has_jacobian
         with pytest.raises(NonConvergence):
-            invert_operator(op, np.ones(2))
+            newton_invert(op, np.ones(2), np.zeros(2), 1e-12, 50)
 
     def test_dual_norm_tolerance(self):
         # tolerance is measured in the dual norm of the supplied space
@@ -78,7 +78,7 @@ class TestInvertOperator:
         space = HilbertSpace(4, gram)
         a = random_spd(4, rng)
         psi = rng.standard_normal(4)
-        x = invert_operator(MatrixOperator(a), psi, tol=1e-11, space=space)
+        x = newton_invert(MatrixOperator(a), psi, np.zeros(4), 1e-11, 50, space).x
         assert space.dual_norm(a @ x - psi) <= 1e-11
 
 

@@ -371,18 +371,20 @@ class TestWorkspaceState:
         assert len(info.value.history) >= 1
 
 
-def _call_solve(ws, kind, tol):
+def _call_solve(ws, kind):
     k = ws.k
     if kind == "dirichlet":
-        return ws.dirichlet_solve(InterfaceVector(np.full(k, 0.1)), tol=tol)
+        return ws.dirichlet_solve(InterfaceVector(np.full(k, 0.1)))
     if kind == "neumann":
-        return ws.neumann_solve(InterfaceVector(np.full(k, 0.01), dual=True), tol=tol)
+        return ws.neumann_solve(InterfaceVector(np.full(k, 0.01), dual=True))
     if kind == "robin":
-        return ws.robin_solve(InterfaceVector(np.full(k, 0.01), dual=True), 46.0, tol=tol)
-    return ws.neumann_correction_solve(InterfaceVector(np.full(k, 0.01), dual=True), tol=tol)
+        return ws.robin_solve(InterfaceVector(np.full(k, 0.01), dual=True), 46.0)
+    return ws.neumann_correction_solve(InterfaceVector(np.full(k, 0.01), dual=True))
 
 
 SOLVE_KINDS = ("dirichlet", "neumann", "robin", "correction")
+BAD_NEWTON_SETTINGS = [("newton_rtol", -1e-12), ("newton_rtol", float("nan")),
+                       ("newton_rtol", float("inf")), ("newton_max", 0), ("newton_max", -3)]
 
 
 class TestSolveTolerance:
@@ -401,28 +403,52 @@ class TestSolveTolerance:
 
     @pytest.mark.parametrize("kind", SOLVE_KINDS)
     def test_explicit_zero_is_not_unset(self, coarse_setup, spy_tols, kind):
+        # a zero relative tolerance is honoured: the workspace asks for 0.0
         prob, mesh, decomp, _, _ = coarse_setup
-        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
-        _call_solve(ws, kind, 0.0)
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1, newton_rtol=0.0)
+        assert ws.newton_tol == 0.0
+        _call_solve(ws, kind)
         assert spy_tols == [0.0]
 
     @pytest.mark.parametrize("kind", SOLVE_KINDS)
     def test_none_uses_workspace_tolerance(self, coarse_setup, spy_tols, kind):
+        # every solve asks Newton for the workspace's own tolerance
         prob, mesh, decomp, _, _ = coarse_setup
-        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
-        _call_solve(ws, kind, None)
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1, newton_rtol=1e-10)
+        _call_solve(ws, kind)
         assert spy_tols == [ws.newton_tol]
 
-    @pytest.mark.parametrize("kind", SOLVE_KINDS)
-    @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
-    def test_invalid_tolerance_rejected(self, coarse_setup, kind, tol):
+    @pytest.mark.parametrize("key, value", BAD_NEWTON_SETTINGS)
+    def test_construction_rejects_bad_newton_settings(self, coarse_setup, monkeypatch,
+                                                       key, value):
+        # rejected before the load scale is assembled
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before the settings were checked")
+
         prob, mesh, decomp, _, _ = coarse_setup
-        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
-        if kind == "dirichlet":
-            # a warm start must not let a bad tolerance through either
-            _call_solve(ws, kind, None)
-        with pytest.raises(ValueError, match="tolerance"):
-            _call_solve(ws, kind, tol)
+        monkeypatch.setattr(Assembler, "residual", no_assembly)
+        with pytest.raises(ValueError, match="newton_max|tolerance"):
+            SubdomainWorkspace(mesh, decomp, prob, 1, **{key: value})
+
+    def test_interface_form_inverts_at_side_2_tolerance(self, coarse_setup, monkeypatch):
+        # side 2's Neumann solves run at its own tolerance and budget, not at
+        # the engine's defaults or the tighter side's tolerance
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws1 = SubdomainWorkspace(mesh, decomp, prob, 1)
+        ws2 = SubdomainWorkspace(mesh, decomp, prob, 2, newton_rtol=1e-10, newton_max=30)
+        assert ws2.newton_tol > ws1.newton_tol
+        seen = []
+        original = subdomain.sparse_newton
+
+        def spy(residual_fn, jacobian_fn, u0, tol, max_iter, held, *rest):
+            if held is ws2._held["neumann"]:
+                seen.append((tol, max_iter))
+            return original(residual_fn, jacobian_fn, u0, tol, max_iter, held, *rest)
+
+        monkeypatch.setattr(subdomain, "sparse_newton", spy)
+        cfg = DNConfig(s=0.36, formulation="interface-form", max_iter=3, stop_tol=1e-300)
+        run_dirichlet_neumann(cfg, ws1, ws2)
+        assert seen == [(ws2.newton_tol, 30)] * 3
 
 
 class TestSolveRepeat:
@@ -431,24 +457,13 @@ class TestSolveRepeat:
         # the warm start must not share memory with the returned field
         prob, mesh, decomp, _, _ = coarse_setup
         ws = SubdomainWorkspace(mesh, decomp, prob, 1)
-        u = _call_solve(ws, kind, None)
+        u = _call_solve(ws, kind)
         first = u.data.copy()
         steps = ws.newton_iters
         u.data[:] = 7.0
-        again = _call_solve(ws, kind, None)
+        again = _call_solve(ws, kind)
         assert ws.newton_iters == steps
         assert again.data.tobytes() == first.tobytes()
-
-    def test_tighter_tolerance_iterates(self, coarse_setup):
-        # a loose solve must not stand in for a later solve at the default tolerance
-        prob, mesh, decomp, _, _ = coarse_setup
-        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
-        eta = InterfaceVector(np.full(decomp.n_interface, 0.1))
-        ws.dirichlet_solve(eta, tol=1e-2)
-        steps = ws.newton_iters
-        u = ws.dirichlet_solve(eta)
-        assert ws.newton_iters > steps
-        assert np.linalg.norm(ws.asm.residual(u.data, prob)[: ws.m]) <= ws.newton_tol
 
     def test_last_neumann_is_a_copy(self, coarse_setup):
         prob, mesh, decomp, _, _ = coarse_setup
@@ -596,7 +611,7 @@ class TestHeldFactor:
         ws = SubdomainWorkspace(mesh, decomp, prob, 1)
         for kind in SOLVE_KINDS:
             before = ws.factorizations
-            _call_solve(ws, kind, None)
+            _call_solve(ws, kind)
             assert ws.factorizations > before
             assert ws._held[kind].solve is not None
 
