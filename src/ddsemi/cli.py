@@ -23,7 +23,7 @@ import numpy as np
 
 from .iterations import (DNConfig, NNConfig, RRConfig, run_dirichlet_neumann,
                          run_neumann_neumann, run_robin_robin)
-from .mesh import build_rect_mesh, decompose_staircase, decompose_vertical
+from .mesh import build_rect_mesh, cell_counts, decompose_staircase, decompose_vertical
 from .oracle import atomic_write, solve_monolithic
 from .problems import cubic_reaction_problem, p_laplace_problem
 from .subdomain import SubdomainWorkspace
@@ -31,7 +31,8 @@ from .subdomain import SubdomainWorkspace
 DESK_MESHES = "1/16,1/32,1/64"
 FULL_MESHES = "1/64,1/128,1/256"
 METHODS = ("dn", "rr", "nn")
-S_DN_DEFAULT = {"example1": 0.36, "example2-plaplace": 0.31}
+# DN relaxation default per problem name, the alias example2 included
+S_DN_DEFAULT = {"example1": 0.36, "example2": 0.31, "example2-plaplace": 0.31}
 
 
 class ConfigError(ValueError):
@@ -186,6 +187,11 @@ def validate_config(cfg):
     """Parse every key of a merged configuration into its typed value, so a
     malformed value exits with code 2 before any work starts."""
     typed = {key: parse(key, cfg[key]) for key, (_, parse, _) in KEYS.items()}
+    for h in typed["h"]:
+        try:
+            cell_counts(typed["width"], typed["height"], h)
+        except ValueError as exc:  # NonIntegerSubdivision
+            raise ConfigError(f"bad mesh size: {exc}") from exc
     if typed["s"] is None:
         typed["s"] = S_DN_DEFAULT.get(typed["problem"], 0.36)
     return typed

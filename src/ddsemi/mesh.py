@@ -83,13 +83,8 @@ class TriMesh:
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def build_rect_mesh(width, height, h):
-    """Triangulate (0, width) x (0, height) with mesh size h.
-
-    Every h x h cell is split along its bottom-left/top-right diagonal,
-    giving 2 * (width/h) * (height/h) triangles. Raises
-    NonIntegerSubdivision when h does not divide both sides.
-    """
+def cell_counts(width, height, h):
+    """(nx, ny), the h x h cells along each side; NonIntegerSubdivision unless h divides both."""
     nx = width / h
     ny = height / h
     if abs(nx - round(nx)) > 1e-9 * max(1.0, nx) or abs(ny - round(ny)) > 1e-9 * max(1.0, ny):
@@ -97,6 +92,17 @@ def build_rect_mesh(width, height, h):
     nx, ny = int(round(nx)), int(round(ny))
     if nx < 1 or ny < 1:
         raise NonIntegerSubdivision("mesh must contain at least one cell per direction")
+    return nx, ny
+
+
+def build_rect_mesh(width, height, h):
+    """Triangulate (0, width) x (0, height) with mesh size h.
+
+    Every h x h cell is split along its bottom-left/top-right diagonal,
+    giving 2 * (width/h) * (height/h) triangles. Raises
+    NonIntegerSubdivision when h does not divide both sides (``cell_counts``).
+    """
+    nx, ny = cell_counts(width, height, h)
 
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
     nodes = np.column_stack([(ii * h).ravel(), (jj * h).ravel()]).astype(float)

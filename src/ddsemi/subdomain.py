@@ -118,9 +118,6 @@ class BandOrder:
     def __init__(self, a):
         a = a.tocsr()
         n = a.shape[0]
-        # a read-only pattern (a shared geometry's) is kept as it is
-        self.indptr, self.indices = (x.copy() if x.flags.writeable else x
-                                     for x in (a.indptr, a.indices))
         self.perm = reverse_cuthill_mckee(a, symmetric_mode=True)
         rank = np.empty(n, dtype=np.intp)
         rank[self.perm] = np.arange(n)
@@ -139,11 +136,6 @@ class BandOrder:
             mirror = np.lexsort((rows, cols))
             if np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows):
                 self.transpose = mirror
-
-    def fits(self, a):
-        """Whether a has the pattern this order was computed from."""
-        a = a.tocsr()
-        return np.array_equal(self.indptr, a.indptr) and np.array_equal(self.indices, a.indices)
 
 
 def shared_order(asm, interior=False):
@@ -230,18 +222,15 @@ class BandedCholesky:
         return out
 
 
-def splu(a, order=None):
+def splu(a, order):
     """Factors of the square sparse matrix a, with ``solve(b)`` and ``nnz``.
 
-    ``order`` is the BandOrder of a's pattern, computed here when not given.
-    A banded order whose matrix is symmetric (``a.data`` equal to its
-    mirror under ``order.transpose``) is factored by LAPACK's banded
-    Cholesky. A wider order, non-symmetric values or pattern, or a
-    non-positive pivot go to SuperLU with ORDERING and partial pivoting.
-    Raises RuntimeError when a is exactly singular.
+    ``order`` is the BandOrder of a's pattern. A banded order whose matrix
+    is symmetric (``a.data`` equal to its mirror under ``order.transpose``)
+    is factored by LAPACK's banded Cholesky. A wider order, non-symmetric
+    values or pattern, or a non-positive pivot go to SuperLU with ORDERING
+    and partial pivoting. Raises RuntimeError when a is exactly singular.
     """
-    if order is None:
-        order = BandOrder(a)
     if order.transpose is not None:
         data = a.tocsr().data
         if np.array_equal(data, data[order.transpose]):
@@ -265,12 +254,9 @@ except (AttributeError, OSError, TypeError):  # not glibc
 class HeldFactor:
     """The one owner of a sparse factorization: the factors of one solve
     kind, kept across Newton steps and solves, and the BandOrder of their
-    pattern. ``order`` starts as a BandOrder, a ``shared_order`` function
-    (called at the first factorization) or None; a matrix whose pattern it
-    does not fit gets its own BandOrder. The Robin Jacobian
-    ``jac + robin_s * M`` is such a matrix at u = 0: the sparse sum drops
-    the Jacobian's exact zeros (748 of 2736 entries at h = 1/12), so each
-    side's first Robin factorization misses the shared order.
+    pattern, from the function ``order`` (a ``shared_order``), which is called
+    at the first factorization: a holder that never factors, as on an empty
+    interior block, builds no order. Every matrix it factors has that pattern.
 
     ``solve`` is the solve function of the last factor, or None once its
     owner drops it (see splitting.damped_newton); ``factorizations`` counts
@@ -288,9 +274,9 @@ class HeldFactor:
     back to SuperLU on an indefinite matrix.
     """
 
-    def __init__(self, order=None):
+    def __init__(self, order):
         self.solve = None
-        self.order = order
+        self.order = order  # the function until the first factorization, then its BandOrder
         self.factorizations = 0
         self._banded = True  # the kind of the last factor; True before the first
 
@@ -300,8 +286,6 @@ class HeldFactor:
         self.solve = None
         if callable(self.order):
             self.order = self.order()
-        if self.order is None or not self.order.fits(jac):
-            self.order = BandOrder(jac)
         if not (self._banded and self.order.banded) and _malloc_trim is not None:
             _malloc_trim(0)
         try:
@@ -470,10 +454,14 @@ class SubdomainWorkspace:
     def mass_gamma(self):
         if self._mass_gamma is None:
             self._mass_gamma = interface_mass_matrix(self.decomp)
-            m, n = self.m, self.asm.n_dofs
-            embed = sp.coo_matrix(self._mass_gamma)
-            self._mass_gamma_embedded = sp.coo_matrix(
-                (embed.data, (embed.row + m, embed.col + m)), shape=(n, n)).tocsr()
+            entries = self._mass_gamma.tocoo()
+            # the places of its entries among the Jacobian's nonzeros: entry
+            # numbers on the pattern (from 1, as 0 is off it) read at the rows
+            # and columns past the m interior dofs
+            numbers = self.asm.geometry.pattern()
+            numbers.data = np.arange(1, numbers.nnz + 1)
+            pos = np.asarray(numbers[entries.row + self.m, entries.col + self.m]).ravel() - 1
+            self._penalty = (pos, entries.data)
         return self._mass_gamma
 
     def h1_matrix(self):
@@ -509,6 +497,7 @@ class SubdomainWorkspace:
             full[m:] = eta
         if robin_s is not None:
             mass = self.mass_gamma
+            pos, values = self._penalty
 
         def residual(x):
             full[:free] = x
@@ -524,7 +513,9 @@ class SubdomainWorkspace:
         def jacobian(x):
             full[:free] = x
             jac = self.asm.jacobian(full, problem, interior=eta is not None)
-            return jac if robin_s is None else jac + robin_s * self._mass_gamma_embedded
+            if robin_s is not None:
+                jac.data[pos] += robin_s * values
+            return jac
 
         x, iters, _ = sparse_newton(residual, jacobian, full[:free], self.newton_tol,
                                     self.newton_max, self._held[kind])

@@ -606,8 +606,9 @@ class TestSparsityPattern:
             assert_vector_matches(asm.residual(w, prob), oracle.residual(w))
 
     def test_robin_penalty_sum(self):
-        # the Robin Jacobian is the assembled one plus s times the embedded
-        # interface mass matrix
+        # the Robin Jacobian, the assembled one with s times the interface
+        # mass matrix added at its place among the nonzeros, is the dense
+        # Jacobian plus s times the embedded interface mass matrix
         m = build_rect_mesh(1, 0.5, 1 / 8)
         d = decompose_vertical(m, 0.5)
         prob = cubic_reaction_problem()
@@ -616,8 +617,10 @@ class TestSparsityPattern:
         mass = interface_mass_matrix(d).toarray()
         oracle = dense_brute_force(prob, m, d.side_dofmap(1), d.side_triangles(1))
         w = 0.5 * np.random.default_rng(6).standard_normal(ws.asm.n_dofs)
-        ws.mass_gamma  # builds the embedded interface mass matrix
-        robin = ws.asm.jacobian(w, prob) + s * ws._mass_gamma_embedded
+        ws.mass_gamma  # finds the penalty's place among the nonzeros
+        pos, values = ws._penalty
+        robin = ws.asm.jacobian(w, prob)
+        robin.data[pos] += s * values
         expected = oracle.jacobian(w)
         expected[ws.m:, ws.m:] += s * mass
         assert_canonical_csr(robin)

@@ -204,6 +204,17 @@ class TestRunCommand:
     def test_malformed_values_exit_2(self, tmp_path, argv):
         assert run_cli(*argv, "--output-dir", str(tmp_path / "o")) == 2
 
+    def test_non_dividing_mesh_size_exits_2_before_any_work(self, tmp_path, capsys):
+        # 0.3 does not divide the 3 x 2 rectangle: no mesh is solved before
+        # the run stops, so no CSV is written
+        assert run_cli("run", "--h", "1/8,0.3", "--output-dir", str(tmp_path / "o")) == 2
+        assert "h=0.3 does not divide" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("problem", ["example2", "example2-plaplace"])
+    def test_example2_alias_gets_the_p_laplace_relaxation(self, problem):
+        assert validate_config(dict(DEFAULTS, problem=problem))["s"] == 0.31
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_rejected(self, workers):
         with pytest.raises(ConfigError, match="workers must be at least 1"):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import SuperLU
 
-from ddsemi import oracle, subdomain
+from ddsemi import subdomain
 from ddsemi.assembly import Assembler, interface_mass_matrix
 from ddsemi.iterations import DNConfig, run_dirichlet_neumann
 from ddsemi.mesh import build_rect_mesh, decompose_staircase, decompose_vertical
@@ -249,8 +249,9 @@ class TestNeumannSolve:
         assert np.linalg.norm(r[ws1.m:] - psi.data) <= ws1.newton_tol
 
     def test_robin_jacobian_is_assembled_plus_penalty(self, monkeypatch):
-        # the Robin solve's Jacobian equals, bit for bit, the assembled one
-        # plus s times the embedded interface mass matrix
+        # the Robin solve's Jacobian has the values, bit for bit, of the
+        # assembled one plus s times the embedded interface mass matrix, and
+        # the geometry's pattern, also where the sum holds exact zeros
         mesh = build_rect_mesh(3, 2, 1 / 8)
         decomp = decompose_vertical(mesh, 1.5)
         ws = SubdomainWorkspace(mesh, decomp, cubic_reaction_problem(), 1)
@@ -265,9 +266,12 @@ class TestNeumannSolve:
         s = 46.0
         ws.robin_solve(InterfaceVector(np.full(ws.k, 0.01), dual=True), s)
         (x, got), = jacobians
-        want = ws.asm.jacobian(x, ws.problem) + s * ws._mass_gamma_embedded
-        for name in ("data", "indices", "indptr"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        penalty = sp.block_diag([sp.csr_matrix((ws.m, ws.m)), interface_mass_matrix(decomp)])
+        want = ws.asm.jacobian(x, ws.problem) + s * penalty
+        assert got.toarray().tobytes() == want.toarray().tobytes()
+        pattern = ws.asm.geometry.pattern()
+        for name in ("indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(pattern, name).tobytes()
 
 
 class TestSpDerivative:
@@ -660,7 +664,7 @@ class _ForwardingLU:
 
 
 def _assert_solves(a, b, expected):
-    x = subdomain.splu(a).solve(b)
+    x = subdomain.splu(a, subdomain.BandOrder(a)).solve(b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -692,7 +696,7 @@ class TestFactorization:
         order = subdomain.BandOrder(a)
         assert order.banded and order.transpose is not None
         b = rng.standard_normal(n)
-        lu = subdomain.splu(a)
+        lu = subdomain.splu(a, order)
         if case == "spd":
             assert isinstance(lu, subdomain.BandedCholesky)
             assert type(lu.nnz) is int and lu.nnz == (order.k + 1) * n
@@ -719,22 +723,6 @@ class TestFactorization:
         b = rng.standard_normal(n)
         _assert_solves(a, b, np.linalg.solve(dense, b))
 
-    def test_keeps_read_only_pattern_and_copies_writeable_one(self):
-        mesh = build_rect_mesh(3, 2, 1 / 8)
-        decomp = decompose_vertical(mesh, 1.5)
-        asm = Assembler(mesh, decomp.side_triangles(1), decomp.side_dofmap(1))
-        shared = subdomain.BandOrder(asm.geometry.pattern())
-        assert np.shares_memory(shared.indices, asm._indices)
-        assert np.shares_memory(shared.indptr, asm._indptr)
-        jac = asm.jacobian(np.zeros(asm.n_dofs), cubic_reaction_problem())
-        own = subdomain.BandOrder(jac)
-        assert not np.shares_memory(own.indices, jac.indices)
-        assert not np.shares_memory(own.indptr, jac.indptr)
-        assert shared.fits(jac) and own.fits(jac)
-        # a later change to the matrix's pattern leaves its order's copy as it was
-        jac.indices[[0, 1]] = jac.indices[[1, 0]]
-        assert not own.fits(jac) and own.fits(asm.geometry.pattern())
-
     def test_unsymmetric_pattern_has_no_transpose(self):
         a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
         order = subdomain.BandOrder(a)
@@ -745,7 +733,7 @@ class TestFactorization:
         a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
         assert subdomain.BandOrder(a).banded
         with pytest.raises(SingularJacobian, match="factorization failed"):
-            subdomain.HeldFactor().refactor(a)
+            subdomain.HeldFactor(lambda: subdomain.BandOrder(a)).refactor(a)
 
     def test_wide_pattern_uses_superlu(self):
         n = subdomain.BAND_MAX + 2
@@ -754,7 +742,7 @@ class TestFactorization:
         a = sp.csr_matrix(dense)
         order = subdomain.BandOrder(a)
         assert order.k > subdomain.BAND_MAX and not order.banded
-        lu = subdomain.splu(a)
+        lu = subdomain.splu(a, order)
         assert isinstance(lu, SuperLU)
         b = rng.standard_normal(n)
         _assert_solves(a, b, np.linalg.solve(dense, b))
@@ -780,8 +768,9 @@ class TestFactorization:
             glob = Assembler(mesh, np.arange(mesh.n_triangles), mesh_global_dofmap(mesh))
             matrices.append(glob.jacobian(rng.standard_normal(glob.n_dofs), prob))
         for a in matrices:
-            assert subdomain.BandOrder(a).banded
-            assert isinstance(subdomain.splu(a), subdomain.BandedCholesky)
+            order = subdomain.BandOrder(a)
+            assert order.banded
+            assert isinstance(subdomain.splu(a, order), subdomain.BandedCholesky)
             b = rng.standard_normal(a.shape[0])
             expected = subdomain.superlu(a.tocsc(), permc_spec=subdomain.ORDERING).solve(b)
             _assert_solves(a, b, expected)
@@ -820,27 +809,6 @@ class TestFactorization:
         np.testing.assert_allclose(u.interior, ui, atol=1e-10)
         assert np.linalg.norm(ws.asm.residual(u.data, prob)[:m]) <= ws.newton_tol
 
-    def test_changed_pattern_recomputes_the_order(self):
-        held = subdomain.HeldFactor()
-        n = 6
-        tri = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr")
-        penta = sp.diags([-1.0, -1.0, 6.0, -1.0, -1.0], [-2, -1, 0, 1, 2], shape=(n, n),
-                         format="csr")
-        b = np.arange(1.0, n + 1)
-        held.refactor(tri)
-        order = held.order
-        held.refactor(2.0 * tri)  # same pattern, new values
-        assert held.order is order
-        np.testing.assert_allclose(held.solve(b), np.linalg.solve(2.0 * tri.toarray(), b),
-                                   rtol=1e-14)
-        held.refactor(penta)
-        assert held.order is not order
-        assert held.order.fits(penta) and not held.order.fits(tri)
-        assert held.order.k == 2
-        np.testing.assert_allclose(held.solve(b), np.linalg.solve(penta.toarray(), b),
-                                   rtol=1e-14)
-        assert held.factorizations == 3
-
     def test_trim_follows_the_kind_of_the_freed_factor(self, monkeypatch):
         # a banded order can hold a SuperLU fallback; only that one is trimmed after
         trims = []
@@ -852,7 +820,7 @@ class TestFactorization:
         # each factor as it is, then behind a forwarding stand-in, as a tracer installs it
         for factor in (splu, lambda a, order: _ForwardingLU(splu(a, order))):
             monkeypatch.setattr(subdomain, "splu", factor)
-            held, trims[:] = subdomain.HeldFactor(), []
+            held, trims[:] = subdomain.HeldFactor(lambda: subdomain.BandOrder(spd)), []
             held.refactor(spd)
             held.refactor(indefinite)
             assert held.order.banded and trims == []
@@ -867,11 +835,11 @@ class TestFactorization:
         trims = []
         monkeypatch.setattr(subdomain, "_malloc_trim", trims.append)
         spd = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csr")
-        held = subdomain.HeldFactor()
+        held = subdomain.HeldFactor(lambda: subdomain.BandOrder(spd))
         held.refactor(spd)
         assert held.order.banded and trims == []
         monkeypatch.setattr(subdomain, "BAND_MAX", 0)
-        held = subdomain.HeldFactor()
+        held = subdomain.HeldFactor(lambda: subdomain.BandOrder(spd))
         held.refactor(spd)
         assert not held.order.banded and trims == [0]
         held.refactor(spd)
@@ -891,11 +859,6 @@ class TestFactorization:
         ref = solve_monolithic(prob, mesh)
         assert ref.newton_iterations > 1
         assert len(builds) == 1
-        # an order built afresh for each step gives the same field bit for bit
-        monkeypatch.setattr(oracle, "shared_order", lambda asm: None)
-        monkeypatch.setattr(CountedOrder, "fits", lambda self, a: False)
-        assert solve_monolithic(prob, mesh).field.data.tobytes() == ref.field.data.tobytes()
-        assert len(builds) == 1 + ref.newton_iterations
 
     def test_fresh_workspaces_reuse_the_orders(self, monkeypatch):
         # the band orders live in the side's shared geometry: a second DN run
@@ -933,17 +896,14 @@ class TestFactorization:
             held.refactor(scale * _spd_band_matrix())
         assert calls == [1] and held.order is order and held.factorizations == 3
 
-    def test_first_robin_factor_misses_the_shared_order(self, monkeypatch):
-        # jac + robin_s * M is a sparse sum, which drops the exact zeros of the
-        # Jacobian at u = 0: the first Robin factorization of a side needs an
-        # order of its own pattern, and the next one, at a nonzero field,
-        # another one of the full pattern (not the shared object), which
-        # serves from then on
+    def test_robin_factors_use_the_shared_order(self, monkeypatch):
+        # the penalty is added on the Jacobian's own pattern, exact zeros at
+        # u = 0 included, so a Robin solve builds no order of its own
         prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 12)
         decomp = decompose_vertical(mesh, 1.5)
         ws = SubdomainWorkspace(mesh, decomp, prob, 1)
-        pattern = ws.asm.geometry.pattern()
         shared = subdomain.shared_order(ws.asm)()
+        subdomain.shared_order(ws.asm, interior=True)()
         builds = []
 
         class CountedOrder(subdomain.BandOrder):
@@ -954,14 +914,12 @@ class TestFactorization:
         monkeypatch.setattr(subdomain, "BandOrder", CountedOrder)
         g = InterfaceVector(np.full(decomp.n_interface, 0.3), dual=True)
         u = ws.robin_solve(g, 2.0)
-        zero = ws.asm.jacobian(np.zeros(ws.asm.n_dofs), prob) + 2.0 * ws._mass_gamma_embedded
-        assert zero.nnz < pattern.nnz
-        assert builds == [zero.nnz, pattern.nnz]
         held = ws._held["robin"]
-        assert held.order.fits(pattern) and held.order is not shared
+        assert held.order is shared and held.factorizations > 0
         factorizations = held.factorizations
         ws.robin_solve(1.5 * g, 2.0)
-        assert held.factorizations > factorizations and len(builds) == 2
+        assert held.factorizations > factorizations
+        assert builds == [] and held.order is shared
         r = ws.asm.residual(u.data, prob)
         r[ws.m:] += 2.0 * (ws.mass_gamma @ u.data[ws.m:]) - g.data
         assert np.linalg.norm(r) <= ws.newton_tol
@@ -1004,7 +962,7 @@ class TestBlasThreadScope:
     def test_count_is_one_inside_and_restored_after(self, blas_count, counts_inside):
         a = _spd_band_matrix()
         b = np.arange(1.0, a.shape[0] + 1)
-        lu = subdomain.splu(a)
+        lu = subdomain.splu(a, subdomain.BandOrder(a))
         assert isinstance(lu, subdomain.BandedCholesky)
         assert blas_count() == 2
         np.testing.assert_allclose(lu.solve(b), np.linalg.solve(a.toarray(), b), rtol=1e-12)
@@ -1017,8 +975,10 @@ class TestBlasThreadScope:
             raise ValueError("LAPACK failed")
 
         monkeypatch.setattr(subdomain, "_pbtrf", failing)
+        a = _spd_band_matrix()
+        order = subdomain.BandOrder(a)
         with pytest.raises(ValueError, match="LAPACK failed"):
-            subdomain.splu(_spd_band_matrix())
+            subdomain.splu(a, order)
         assert blas_count() == 2
 
     def test_one_thread_until_the_last_user_leaves(self, blas_count):
@@ -1036,6 +996,7 @@ class TestBlasThreadScope:
         a = _spd_band_matrix(400)
         b = np.ones(a.shape[0])
         expected = np.linalg.solve(a.toarray(), b)
+        order = subdomain.BandOrder(a)
         start = threading.Barrier(4)
         errors = []
 
@@ -1043,7 +1004,7 @@ class TestBlasThreadScope:
             try:
                 start.wait(timeout=60)
                 for _ in range(30):
-                    np.testing.assert_allclose(subdomain.splu(a).solve(b), expected,
+                    np.testing.assert_allclose(subdomain.splu(a, order).solve(b), expected,
                                                rtol=1e-12)
             except Exception as exc:  # surfaced in the main thread
                 errors.append(exc)
@@ -1068,6 +1029,6 @@ def test_factor_and_solve_without_blas_thread_control(monkeypatch):
     monkeypatch.setattr(subdomain, "_BLAS_THREADS", None)
     a = _spd_band_matrix()
     b = np.arange(1.0, a.shape[0] + 1)
-    lu = subdomain.splu(a)
+    lu = subdomain.splu(a, subdomain.BandOrder(a))
     assert isinstance(lu, subdomain.BandedCholesky)
     np.testing.assert_allclose(lu.solve(b), np.linalg.solve(a.toarray(), b), rtol=1e-12)
