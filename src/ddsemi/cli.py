@@ -23,7 +23,8 @@ import numpy as np
 
 from .iterations import (DNConfig, NNConfig, RRConfig, run_dirichlet_neumann,
                          run_neumann_neumann, run_robin_robin)
-from .mesh import build_rect_mesh, cell_counts, decompose_staircase, decompose_vertical
+from .mesh import (build_rect_mesh, cell_counts, decompose_staircase, decompose_vertical,
+                   lattice_index)
 from .oracle import atomic_write, solve_monolithic
 from .problems import cubic_reaction_problem, p_laplace_problem
 from .subdomain import SubdomainWorkspace
@@ -39,11 +40,16 @@ class ConfigError(ValueError):
     """Unusable configuration (unknown key, bad value, bad combination)."""
 
 
-def parse_h(text):
+def _real(text, what):
+    """float of a decimal or fraction text such as '0.25' or '1/64'."""
     try:
-        h = float(Fraction(text.strip()))
+        return float(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigError(f"cannot parse mesh size {text!r}") from exc
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
+
+
+def parse_h(text):
+    h = _real(text, "mesh size")
     if not h > 0:
         raise ConfigError(f"mesh size must be positive (got {text!r})")
     return h
@@ -83,13 +89,6 @@ def _integer(minimum=None):
     return parse
 
 
-def _degree(key, raw):
-    degree = _integer()(key, raw)
-    if degree not in (1, 2, 4):
-        raise ConfigError(f"degree must be 1, 2 or 4 (got {raw!r})")
-    return degree
-
-
 def _choice(options, message):
     """Parser mapping each allowed text to its value; ``message`` is formatted
     with the key and the raw text when the text is not allowed."""
@@ -105,6 +104,18 @@ def _mesh_sizes(key, raw):
     if not hs:
         raise ConfigError("no mesh sizes given")
     return hs
+
+
+def _interface(key, raw):
+    """('vertical', x) or ('staircase', ((x, y), ...)), each number read by ``_real``."""
+    kind, _, rest = raw.partition(":")
+    if kind == "vertical":
+        return kind, _real(rest, "interface x")
+    points = tuple(tuple(_real(c, "interface coordinate") for c in point.split(","))
+                   for point in rest.split(";") if point.strip())
+    if kind != "staircase" or any(len(point) != 2 for point in points):
+        raise ConfigError(f"bad interface spec {raw!r} (vertical:X or staircase:x,y;x,y;...)")
+    return kind, points
 
 
 def _numbers(key, raw):
@@ -124,7 +135,7 @@ KEYS = {
     "width": ("3", _number(), "rectangle width"),
     "height": ("2", _number(), "rectangle height"),
     "h": (DESK_MESHES, _mesh_sizes, "comma-separated mesh sizes, e.g. 1/16,1/32"),
-    "interface": ("vertical:1.5", _text, "vertical:X or staircase:x,y;x,y;..."),
+    "interface": ("vertical:1.5", _interface, "vertical:X or staircase:x,y;x,y;..."),
     "s": ("", _number(optional=True), "DN relaxation parameter (default per problem)"),
     "s_rr": ("46", _number(), "Robin parameter"),
     "s1": ("0.02", _number(), "NN correction weight of side 1"),
@@ -136,7 +147,8 @@ KEYS = {
     "stop_tol": ("1e-12", _number(), "interface residual stopping tolerance"),
     "newton_tol": ("1e-12", _number(), "inner Newton tolerance"),
     "newton_max": ("50", _integer(1), "inner Newton budget"),
-    "degree": ("4", _degree, "quadrature degree: 1, 2 or 4"),
+    "degree": ("4", _choice({d: int(d) for d in "124"}, "degree must be 1, 2 or 4 (got {raw!r})"),
+               "quadrature degree: 1, 2 or 4"),
     "output_dir": ("results", _text, "artifact directory"),
     "seed": ("0", _integer(), "recorded in summaries"),
     "workers": ("1", _integer(1), "worker threads"),
@@ -153,10 +165,8 @@ DEFAULTS = {key: default for key, (default, _, _) in KEYS.items()}
 
 
 def _h_tag(h):
-    inv = 1.0 / h
-    if abs(inv - round(inv)) < 1e-9:
-        return str(int(round(inv)))
-    return repr(h).replace(".", "p")
+    inv = lattice_index(1.0, h)
+    return repr(h).replace(".", "p") if inv is None else str(inv)
 
 
 def _csv_name(method, h):
@@ -184,14 +194,27 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    """Parse every key of a merged configuration into its typed value, so a
-    malformed value exits with code 2 before any work starts."""
+    """Parse every key of a merged configuration into its typed value and
+    check the interface against every mesh size, so that a malformed value
+    or combination exits with code 2 before any work starts."""
     typed = {key: parse(key, cfg[key]) for key, (_, parse, _) in KEYS.items()}
-    for h in typed["h"]:
-        try:
-            cell_counts(typed["width"], typed["height"], h)
-        except ValueError as exc:  # NonIntegerSubdivision
-            raise ConfigError(f"bad mesh size: {exc}") from exc
+    kind, where = typed["interface"]
+    coords = [where] if kind == "vertical" else sum(where, ())
+    try:
+        for h in typed["h"]:
+            nx, _ = cell_counts(typed["width"], typed["height"], h)
+            if any(lattice_index(c, h) is None for c in coords):
+                raise ValueError(f"interface {cfg['interface']!r} is off the lattice of h={h}")
+            if kind == "vertical" and not 0 < lattice_index(where, h) < nx:
+                raise ValueError(f"x={where} must lie strictly inside the domain")
+        if kind == "staircase":
+            # with every corner on every lattice, the checks that need a mesh
+            # (inside the domain, axis-aligned, separating) do not depend on
+            # h, so the coarsest mesh, the cheapest, serves
+            decompose_staircase(build_rect_mesh(typed["width"], typed["height"],
+                                                max(typed["h"])), where)
+    except ValueError as exc:  # also NonIntegerSubdivision, CutOffGrid, PathNotOnGrid, ...
+        raise ConfigError(f"bad mesh size or interface: {exc}") from exc
     if typed["s"] is None:
         typed["s"] = S_DN_DEFAULT.get(typed["problem"], 0.36)
     return typed
@@ -215,21 +238,10 @@ def make_problem(spec):
     raise ConfigError(f"unknown problem {spec!r}")
 
 
-def make_decomposition(mesh, spec):
-    kind, _, rest = spec.partition(":")
-    if kind == "vertical":
-        try:
-            return decompose_vertical(mesh, float(Fraction(rest)))
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad vertical interface {spec!r}: {exc}") from exc
-    if kind == "staircase":
-        try:
-            points = [tuple(float(Fraction(c)) for c in pt.split(","))
-                      for pt in rest.split(";") if pt.strip()]
-            return decompose_staircase(mesh, points)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad staircase interface {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown interface spec {spec!r} (vertical:X or staircase:...)")
+def make_decomposition(mesh, interface):
+    """Split mesh along a parsed ``interface`` key (see ``_interface``)."""
+    kind, where = interface
+    return (decompose_vertical if kind == "vertical" else decompose_staircase)(mesh, where)
 
 
 def _write_report_csv(report, path, timing):

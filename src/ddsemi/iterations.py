@@ -51,16 +51,18 @@ class EquivalenceViolation(RuntimeError):
 
 @dataclass(kw_only=True)
 class MethodConfig:
-    """Parameters every interface method shares: initial trace, outer
-    iteration budget and interface residual stopping tolerance."""
+    """Parameters every interface method shares: initial trace, outer iteration
+    budget and stopping tolerance (> 0, as are the fields named in ``positive``)."""
 
     eta0: InterfaceVector = None
     max_iter: int = 200
     stop_tol: float = 1e-10
+    positive = ()
 
     def __post_init__(self):
-        if not self.stop_tol > 0:
-            raise ValueError("stop_tol must be positive")
+        for name in ("stop_tol",) + self.positive:
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -72,10 +74,9 @@ class DNConfig(MethodConfig):
 
     s: float
     formulation: str = SUBDOMAIN_FORM
+    positive = ("s",)
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("relaxation parameter s must be positive")
         super().__post_init__()
         if self.formulation not in (SUBDOMAIN_FORM, INTERFACE_FORM):
             raise ValueError(f"unknown formulation {self.formulation!r}")
@@ -86,11 +87,7 @@ class RRConfig(MethodConfig):
     """Robin-Robin parameters; s weighs the interface L2 pairing."""
 
     s: float
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("Robin parameter s must be positive")
-        super().__post_init__()
+    positive = ("s",)
 
 
 @dataclass
@@ -100,11 +97,7 @@ class NNConfig(MethodConfig):
 
     s1: float
     s2: float
-
-    def __post_init__(self):
-        if not (self.s1 > 0 and self.s2 > 0):
-            raise ValueError("weights s1, s2 must be positive")
-        super().__post_init__()
+    positive = ("s1", "s2")
 
 
 @dataclass
@@ -147,10 +140,6 @@ class MethodReport:
     @property
     def errors(self):
         return np.array([row.error for row in self.rows])
-
-    @property
-    def residuals(self):
-        return np.array([row.residual for row in self.rows])
 
     @property
     def final_error(self):
@@ -369,7 +358,8 @@ def _dn_interface_steps(cfg, ws1, ws2, eta, record):
 
     def add(n, vec, residual, _newton_iters):
         # both operators were just applied at vec, so these repeat
-        # Dirichlet solves start at their answer and take no Newton step
+        # Dirichlet solves start at their answer, whose residual the
+        # workspace kept: they take no Newton step and assemble nothing
         eta_n = InterfaceVector(vec)
         record(n, residual, ws1.dirichlet_solve(eta_n),
                ws2.last_neumann if n else ws2.dirichlet_solve(eta_n), vec)

@@ -58,19 +58,10 @@ class TriMesh:
     def n_triangles(self):
         return self.triangles.shape[0]
 
-    @property
-    def free_nodes(self):
-        """Sorted node indices not on the Dirichlet boundary."""
-        mask = np.ones(self.n_nodes, dtype=bool)
-        mask[self.boundary_nodes] = False
-        return np.nonzero(mask)[0]
-
     def node_id(self, x, y):
-        """Lattice lookup; raises PathNotOnGrid off the lattice."""
-        i = x / self.h
-        j = y / self.h
-        ii, jj = round(i), round(j)
-        if abs(i - ii) > 1e-9 or abs(j - jj) > 1e-9:
+        """Lattice lookup; raises PathNotOnGrid off the lattice (``lattice_index``)."""
+        ii, jj = lattice_index(x, self.h), lattice_index(y, self.h)
+        if ii is None or jj is None:
             raise PathNotOnGrid(f"point ({x}, {y}) is not a mesh node")
         if not (0 <= ii <= self.nx and 0 <= jj <= self.ny):
             raise PathNotOnGrid(f"point ({x}, {y}) lies outside the domain")
@@ -83,15 +74,20 @@ class TriMesh:
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
+def lattice_index(x, h):
+    """The integer k within 1e-9 max(1, |x / h|) of x / h (a bound that grows with
+    the index, as rounding does), or None: the one lattice rule of sizes, nodes and cuts."""
+    ratio = x / h
+    k = round(ratio, 0)  # a float, so a NaN or infinite ratio fails the test below
+    return int(k) if abs(ratio - k) <= 1e-9 * max(1.0, abs(ratio)) else None
+
+
 def cell_counts(width, height, h):
     """(nx, ny), the h x h cells along each side; NonIntegerSubdivision unless h divides both."""
-    nx = width / h
-    ny = height / h
-    if abs(nx - round(nx)) > 1e-9 * max(1.0, nx) or abs(ny - round(ny)) > 1e-9 * max(1.0, ny):
-        raise NonIntegerSubdivision(f"h={h} does not divide width={width} and height={height}")
-    nx, ny = int(round(nx)), int(round(ny))
-    if nx < 1 or ny < 1:
-        raise NonIntegerSubdivision("mesh must contain at least one cell per direction")
+    nx, ny = lattice_index(width, h), lattice_index(height, h)
+    if nx is None or ny is None or min(nx, ny) < 1:
+        raise NonIntegerSubdivision(f"h={h} does not divide width={width} and height={height} "
+                                    "into whole cells")
     return nx, ny
 
 
@@ -232,8 +228,10 @@ class Decomposition:
 
 
 def mesh_global_dofmap(mesh):
-    """Dof map over all free nodes of the mesh, with no interface block."""
-    return _make_dofmap(mesh.n_nodes, mesh.free_nodes, np.empty(0, dtype=np.int64))
+    """Dof map over all free nodes of the mesh (those off the Dirichlet
+    boundary, in order), with no interface block."""
+    free = np.delete(np.arange(mesh.n_nodes), mesh.boundary_nodes)
+    return _make_dofmap(mesh.n_nodes, free, np.empty(0, dtype=np.int64))
 
 
 def _interior_edges(mesh):
@@ -300,10 +298,9 @@ def _build_decomposition(mesh, labels):
 
 def decompose_vertical(mesh, x_cut):
     """Split along the vertical mesh line x = x_cut; left is subdomain 1."""
-    ic = x_cut / mesh.h
-    if abs(ic - round(ic)) > 1e-9:
+    ic = lattice_index(x_cut, mesh.h)
+    if ic is None:
         raise CutOffGrid(f"x={x_cut} is not a mesh line (h={mesh.h})")
-    ic = int(round(ic))
     if not 0 < ic < mesh.nx:
         raise CutOffGrid(f"x={x_cut} must lie strictly inside the domain")
     cell_i = (np.arange(mesh.n_triangles) // 2) % mesh.nx
@@ -334,18 +331,14 @@ def decompose_staircase(mesh, polyline):
         if a == b:
             raise PathNotOnGrid("zero-length polyline segment")
         step = (1 if bi > ai else -1) if aj == bj else (npl if bj > aj else -npl)
-        cur = a
-        while cur != b:
-            cur += step
-            nodes.append(cur)
+        nodes.extend(range(a + step, b + step, step))
     if len(set(nodes)) != len(nodes):
         raise DisconnectedPath("polyline is self-intersecting")
 
-    on_boundary = np.zeros(mesh.n_nodes, dtype=bool)
-    on_boundary[mesh.boundary_nodes] = True
-    if not (on_boundary[nodes[0]] and on_boundary[nodes[-1]]):
+    on_boundary = np.isin(nodes, mesh.boundary_nodes)
+    if not (on_boundary[0] and on_boundary[-1]):
         raise DisconnectedPath("polyline endpoints must lie on the outer boundary")
-    if any(on_boundary[n] for n in nodes[1:-1]):
+    if on_boundary[1:-1].any():
         raise DisconnectedPath("polyline interior must stay off the outer boundary")
 
     # unit lattice steps are mesh edges, and a boundary-to-boundary simple path cuts <= 2 parts

@@ -131,11 +131,11 @@ def _newton(prob, mesh, degree, newton_rtol, newton_max):
             start = prolong_p1(coarse_mesh, mesh, nodal)[dofmap.node_of_dof]
     asm = Assembler(mesh, np.arange(mesh.n_triangles), dofmap, degree)
     held = HeldFactor(shared_order(asm))
-    tol = load_tolerance(asm, prob, newton_rtol)
+    tol, load = load_tolerance(asm, prob, newton_rtol)
 
-    def newton(u0, chord):
+    def newton(u0, chord, r0=None):
         return sparse_newton(lambda v: asm.residual(v, prob), lambda v: asm.jacobian(v, prob),
-                             u0, tol, newton_max, held, chord=chord)
+                             u0, tol, newton_max, held, chord=chord, r0=r0)
 
     if start is not None:
         try:
@@ -145,7 +145,7 @@ def _newton(prob, mesh, degree, newton_rtol, newton_max):
             steps += err.iterations or 0
         except SingularJacobian:
             pass
-    u, iters, rnorm = newton(np.zeros(dofmap.n_dofs), False)
+    u, iters, rnorm = newton(np.zeros(dofmap.n_dofs), False, load)
     return u, steps + iters, rnorm
 
 
@@ -185,7 +185,7 @@ def solve_monolithic(prob, mesh, degree=DEFAULT_DEGREE, newton_rtol=1e-12,
         if cached is not None:
             asm = Assembler(mesh, np.arange(mesh.n_triangles), dofmap, degree)
             res = float(np.linalg.norm(asm.residual(cached, prob)))
-            if res <= load_tolerance(asm, prob, newton_rtol):
+            if res <= load_tolerance(asm, prob, newton_rtol)[0]:
                 return MonolithicSolution(FieldVector(cached, dofmap.n_dofs), 0, res)
 
     u, iters, rnorm = _newton(prob, mesh, degree, newton_rtol, newton_max)

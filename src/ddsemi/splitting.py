@@ -152,7 +152,7 @@ CHORD_THETA = 0.02
 
 
 def damped_newton(residual_fn, jacobian_fn, held, norm, x0, tol, max_iter,
-                  at_floor=None, chord=False):
+                  at_floor=None, chord=False, r0=None):
     """Damped Newton for residual_fn(x) = 0 with Armijo backtracking.
 
     ``held`` owns the factor: a step drops ``held.solve`` (sets it to None)
@@ -169,10 +169,11 @@ def damped_newton(residual_fn, jacobian_fn, held, norm, x0, tol, max_iter,
     Armijo test of a full step is kept too, but the next step refactors at
     the new iterate without a chord trial. Any other trial (a rise, or a
     NaN) is discarded, and the step refactors at x and takes the damped
-    Newton step. Chord steps count as iterations.
+    Newton step. Chord steps count as iterations. ``r0``, when given, is
+    residual_fn(x0), which the caller already holds (used, not copied).
     """
     x = np.array(x0, dtype=float, copy=True)
-    r = residual_fn(x)
+    r = residual_fn(x) if r0 is None else r0
     rnorm = norm(r)
     history = [rnorm]
     iters = 0

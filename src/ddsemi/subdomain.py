@@ -3,9 +3,9 @@
 A SubdomainWorkspace binds (mesh, decomposition, problem, side) and owns
 the assembler, the last two solved pairs and one held factor per solve
 kind, the Newton and factorization counters, the tangent Jacobian at the
-last linearization trace and the interface block of the last residual a
-solve assembled. Local coefficient vectors are laid out
-[interior | interface]; the trace operator extracts the interface block.
+last linearization trace and the last residual a solve assembled. Local
+coefficient vectors are laid out [interior | interface]; the trace
+operator extracts the interface block.
 
 The Steklov-Poincare action of a trace eta is the interface block of the
 assembled residual at the constrained subdomain solution; its inverse is a
@@ -303,13 +303,13 @@ def _secant_start(pairs, datum, n):
     (datum, field) pairs, newest last: u_b + theta (u_b - u_a) with
     theta = <d - d_b, d_b - d_a> / |d_b - d_a|^2, the secant predictor of
     continuation methods (Allgower & Georg 1990, ch. 2). It is u_b itself
-    with one pair, when d_b = d_a, or when d is byte-equal to d_b (a
-    repeated solve), and zero without a pair. Always a fresh array.
+    with one pair or when d_b = d_a, and zero without a pair. Always a fresh
+    array. (A repeated solve starts from u_b without coming here.)
     """
     if not pairs:
         return np.zeros(n)
     d_b, u_b = pairs[-1]
-    if len(pairs) < 2 or datum.tobytes() == d_b.tobytes():
+    if len(pairs) < 2:
         return u_b.copy()
     d_a, u_a = pairs[0]
     chord = d_b - d_a
@@ -338,27 +338,27 @@ def _at_rounding_floor(jac, u, rnorm):
     return rnorm <= 1e3 * floor
 
 
-def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord=True):
+def sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord=True, r0=None):
     """splitting.damped_newton on the HeldFactor ``held`` with the Euclidean
-    merit function; returns (u, iterations, residual_norm). A line-search
-    stall at the rounding floor of the current iterate scale (which an
-    absolute tolerance cannot beat once iterates grow large, as in
+    merit function (``r0`` as there); returns (u, iterations, residual_norm).
+    A line-search stall at the rounding floor of the current iterate scale
+    (which an absolute tolerance cannot beat once iterates grow large, as in
     diverging outer iterations) returns the floor-accurate solution.
     """
     result = damped_newton(residual_fn, jacobian_fn, held,
                            lambda r: float(np.linalg.norm(r)), u0, tol, max_iter,
-                           at_floor=_at_rounding_floor, chord=chord)
+                           at_floor=_at_rounding_floor, chord=chord, r0=r0)
     return result.x, result.iterations, result.residual
 
 
 def load_tolerance(asm, problem, rtol):
-    """Absolute Newton tolerance of ``problem`` on ``asm``: rtol times the
-    load scale (the residual norm of the zero field), at least rtol. Raises
-    ValueError, before it assembles, unless rtol is finite and >= 0."""
+    """(absolute Newton tolerance, load) of ``problem`` on ``asm``: rtol times
+    the norm of the load (the residual of the zero field), at least rtol.
+    Raises ValueError, before it assembles, unless rtol is finite and >= 0."""
     if not (np.isfinite(rtol) and rtol >= 0):
         raise ValueError(f"Newton tolerance must be finite and non-negative, got {rtol!r}")
     load = asm.residual(np.zeros(asm.n_dofs), problem)
-    return rtol * max(1.0, float(np.linalg.norm(load)))
+    return rtol * max(1.0, float(np.linalg.norm(load))), load
 
 
 class SubdomainWorkspace:
@@ -371,7 +371,8 @@ class SubdomainWorkspace:
     newton_max below 1 raises ValueError. Each solve starts from the secant
     prediction of its last two solved (interface datum, field) pairs
     (``_secant_start``), so repeating a solve takes no Newton step and
-    returns the same field, and its Newton steps reuse the kind's held
+    returns the same field; unless another solve assembled a residual in
+    between, it assembles none either. Newton steps reuse the kind's held
     factor while that factor keeps contracting the residual.
 
     The Neumann, Robin and correction solves each keep their own pairs,
@@ -396,7 +397,7 @@ class SubdomainWorkspace:
                              decomp.side_dofmap(side), degree)
         self.m = decomp.side_dofmap(side).n_interior
         self.k = decomp.n_interface
-        self.newton_tol = load_tolerance(self.asm, problem, newton_rtol)
+        self.newton_tol, _ = load_tolerance(self.asm, problem, newton_rtol)
         self.newton_max = newton_max
         self.newton_iters = 0  # cumulative, across all solves
         # up to two (datum, field) pairs per solve kind, newest last
@@ -408,7 +409,7 @@ class SubdomainWorkspace:
         self._held = {kind: HeldFactor(interior if kind in ("dirichlet", "tangent") else full)
                       for kind in ("dirichlet", "neumann", "robin", "correction", "tangent")}
         self._tangent = None  # (nu bytes, jacobian at the constrained solution)
-        # (problem, field, interface block) of the last residual a solve assembled
+        # (problem, field, residual) of the last residual a solve assembled
         self._last_residual = None
         # built once, so that the assembler's load cache serves every correction solve
         self._correction_problem = replace(problem, source=_no_source)
@@ -446,7 +447,7 @@ class SubdomainWorkspace:
         last = self._last_residual
         if last is not None and last[0] is self.problem \
                 and last[1].tobytes() == u.data.tobytes():
-            return InterfaceVector(last[2].copy(), dual=True)
+            return InterfaceVector(last[2][self.m:].copy(), dual=True)
         r = self.asm.residual(u.data, self.problem)
         return InterfaceVector(r[self.m:], dual=True)
 
@@ -489,26 +490,31 @@ class SubdomainWorkspace:
         """
         m, n = self.m, self.asm.n_dofs
         free = n if eta is None else m
+        datum = psi if eta is None else eta
         pairs = self._pairs[kind]
         if robin_s is not None and robin_s != self._robin_s:
             pairs = ()
-        full = _secant_start(pairs, psi if eta is None else eta, n)
+        repeat = bool(pairs) and datum.tobytes() == pairs[-1][0].tobytes()
+        full = pairs[-1][1].copy() if repeat else _secant_start(pairs, datum, n)
         if eta is not None:
             full[m:] = eta
         if robin_s is not None:
             mass = self.mass_gamma
             pos, values = self._penalty
 
-        def residual(x):
-            full[:free] = x
-            r = self.asm.residual(full, problem)
-            # the flux functional, before psi or the Robin terms enter
-            self._last_residual = (problem, full.copy(), r[m:].copy())
+        def finish(r):  # the solve's residual from the assembled r, in place
             if robin_s is not None:
                 r[m:] += robin_s * (mass @ full[m:]) - psi
             elif psi is not None:
                 r[m:] -= psi
             return r[:free]
+
+        def residual(x):
+            full[:free] = x
+            r = self.asm.residual(full, problem)
+            # the assembled residual, before psi or the Robin terms enter
+            self._last_residual = (problem, full.copy(), r.copy())
+            return finish(r)
 
         def jacobian(x):
             full[:free] = x
@@ -517,8 +523,13 @@ class SubdomainWorkspace:
                 jac.data[pos] += robin_s * values
             return jac
 
+        # a repeat starts from its recorded field, whose residual is the last
+        # one assembled unless another solve came between
+        last = self._last_residual
+        r0 = finish(last[2].copy()) if repeat and last[0] is problem \
+            and last[1].tobytes() == full.tobytes() else None
         x, iters, _ = sparse_newton(residual, jacobian, full[:free], self.newton_tol,
-                                    self.newton_max, self._held[kind])
+                                    self.newton_max, self._held[kind], True, r0)
         self.newton_iters += iters
         full[:free] = x
         self._pairs[kind] = _recorded(pairs, full[m:] if eta is not None else psi.copy(), full)

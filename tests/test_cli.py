@@ -1,21 +1,28 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddsemi import cli
 from ddsemi.cli import (DEFAULTS, KEYS, ConfigError, _merge_config, _write_report_csv,
                         build_parser, load_config, main, make_decomposition,
                         make_problem, parse_h, validate_config)
 from ddsemi.iterations import IterationRow, MethodReport
-from ddsemi.mesh import build_rect_mesh
+from ddsemi.mesh import build_rect_mesh, cell_counts, decompose_vertical
 from ddsemi.oracle import atomic_write
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def parse_interface(text):
+    return KEYS["interface"][1]("interface", text)
 
 
 class TestConfigParsing:
@@ -53,10 +60,26 @@ s = 0.4
 
     def test_interface_specs(self):
         mesh = build_rect_mesh(3, 2, 0.5)
-        d1 = make_decomposition(mesh, "vertical:1.5")
+        d1 = make_decomposition(mesh, parse_interface("vertical:1.5"))
         assert d1.n_interface == 3
-        d2 = make_decomposition(mesh, "staircase:1.5,0;1.5,1;2,1;2,2")
+        d2 = make_decomposition(mesh, parse_interface("staircase:1.5,0;1.5,1;2,1;2,2"))
         assert d2.n_interface == 4
+
+    @pytest.mark.parametrize("text, spec", [
+        ("vertical:1.5", ("vertical", 1.5)),
+        ("vertical: 3/2 ", ("vertical", 1.5)),
+        ("staircase:3/2,0;1.5,1; 2,1;2,2;", ("staircase", ((1.5, 0.0), (1.5, 1.0),
+                                                          (2.0, 1.0), (2.0, 2.0)))),
+    ])
+    def test_interface_is_parsed_once_into_numbers(self, text, spec):
+        assert parse_interface(text) == spec
+
+    @pytest.mark.parametrize("text", ["vertical:", "vertical:abc", "vertical:1/0",
+                                      "staircase:1.5,0;1.5", "staircase:1,2,3",
+                                      "horizontal:1", "staircase:1.5,0;1.5,x"])
+    def test_malformed_interface_is_a_configuration_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_interface(text)
 
     def test_full_scale_flag_respects_explicit_h(self):
         from ddsemi.cli import FULL_MESHES, _merge_config, build_parser
@@ -210,6 +233,15 @@ class TestRunCommand:
         assert run_cli("run", "--h", "1/8,0.3", "--output-dir", str(tmp_path / "o")) == 2
         assert "h=0.3 does not divide" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_interface_off_a_later_lattice_exits_2_before_any_work(self, tmp_path, capsys):
+        # x = 1.25 is a mesh line at h = 1/8 but not at h = 1/10: nothing is
+        # solved, so no CSV, no reference cache and no summary is written
+        out = tmp_path / "o"
+        assert run_cli("run", "--method", "dn", "--h", "1/8,1/10",
+                       "--interface", "vertical:1.25", "--output-dir", str(out)) == 2
+        assert "'vertical:1.25' is off the lattice of h=0.1" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("problem", ["example2", "example2-plaplace"])
     def test_example2_alias_gets_the_p_laplace_relaxation(self, problem):
@@ -385,3 +417,78 @@ class TestWorkerPool:
     def test_one_worker_runs_serially(self, pools):
         assert cli._map(lambda x: x + 1, [1, 2], 1) == [2, 3]
         assert pools == []
+
+
+def verdict(check, *args):
+    """True when check(*args) returns, False when it raises a ValueError
+    (ConfigError and the mesh errors are ValueErrors)."""
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+class TestOneLatticeRule:
+    # x = 1.5 + offset at h = 1/256, that is 384 + offset * 256 cells; a
+    # rectangle two cells high keeps the meshes small
+    @pytest.mark.parametrize("offset, on", [(1e-10, True), (1e-6, False)])
+    def test_every_check_gives_one_verdict(self, offset, on):
+        h, x = 1 / 256, 1.5 + offset
+        mesh = build_rect_mesh(3, 2 * h, h)
+        cfg = dict(DEFAULTS, width="3", height=repr(2 * h), h="1/256",
+                   interface=f"vertical:{x!r}")
+        assert [verdict(cell_counts, x, 2 * h, h), verdict(mesh.node_id, x, 0.0),
+                verdict(decompose_vertical, mesh, x), verdict(validate_config, cfg)] == [on] * 4
+
+
+# Texts of numbers up to 3, on and off the lattices of the drawn mesh sizes:
+# multiples of 1/4 as fractions or decimals, thirds, and decimals a little
+# off a multiple of 1/4.
+_QUARTERS = st.integers(1, 11).map("{}/4".format)
+_COORD = st.one_of(_QUARTERS, _QUARTERS, _QUARTERS,
+                   st.integers(0, 6).map(lambda k: repr(k / 2)),
+                   st.integers(1, 8).map("{}/3".format),
+                   st.builds(lambda k, e: repr(k / 4 + e), st.integers(0, 12),
+                             st.sampled_from([1e-12, -1e-12, 1e-7, 0.01])))
+_STAIRCASE = st.lists(st.tuples(_COORD, _COORD), max_size=5).map(
+    lambda points: "staircase:" + ";".join(f"{x},{y}" for x, y in points))
+
+
+@st.composite
+def _axis_path(draw):
+    """staircase text of a path that climbs from the bottom side to the top
+    side ("top", for the drawn height) by alternate vertical and horizontal
+    segments with corners from _COORD: valid unless a corner is off a
+    lattice or outside the rectangle, or two corners coincide."""
+    xs = draw(st.lists(_COORD, min_size=1, max_size=3))
+    ys = draw(st.lists(_COORD, min_size=len(xs) - 1, max_size=len(xs) - 1))
+    ys = ["0"] + sorted(ys, key=Fraction) + ["top"]
+    points = [p for x, y0, y1 in zip(xs, ys, ys[1:]) for p in ((x, y0), (x, y1))]
+    return "staircase:" + ";".join(f"{x},{y}" for x, y in points)
+
+
+class TestConfigurationProperty:
+    """validate_config raises ConfigError exactly when some listed h cannot
+    build its mesh or the interface's decomposition; no solve runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.sampled_from(["1", "2", "3", "1.5"]), height=st.sampled_from(["1", "2"]),
+           hs=st.lists(st.sampled_from(["1/4", "1/2", "0.25", "1/8", "1/3", "0.3"]),
+                       min_size=1, max_size=2),
+           interface=st.one_of(st.builds("vertical:{}".format, _COORD), _STAIRCASE,
+                               _axis_path(), _axis_path()))
+    @example("3", "2", ["1/4", "1/8"], "vertical:3/2")
+    @example("3", "2", ["1/4", "1/8"], "staircase:1.5,0;1.5,1;2,1;2,top")
+    @example("3", "2", ["1/4", "1/8"], "staircase:1.5,0;1.5,1;2.125,1;2.125,top")
+    @example("3", "2", ["1/8", "1/10"], "vertical:1.25")
+    def test_validation_matches_every_build(self, width, height, hs, interface):
+        interface = interface.replace("top", height)
+        cfg = dict(DEFAULTS, width=width, height=height, h=",".join(hs), interface=interface)
+        spec = parse_interface(interface)
+
+        def build(h):
+            mesh = build_rect_mesh(float(width), float(height), float(Fraction(h)))
+            make_decomposition(mesh, spec)
+
+        assert verdict(validate_config, cfg) == all(verdict(build, h) for h in hs)

@@ -181,6 +181,39 @@ def newton_calls(monkeypatch):
     return calls
 
 
+def residual_calls(monkeypatch):
+    """Spy on Assembler.residual: per call, whether its field is zero."""
+    calls = []
+    original = Assembler.residual
+
+    def spy(self, u, prob):
+        calls.append(not np.any(u))
+        return original(self, u, prob)
+
+    monkeypatch.setattr(Assembler, "residual", spy)
+    return calls
+
+
+class TestReferenceResidualCount:
+    # h = 1/8 has one level, which starts from zero; h = 1/20 has a coarse
+    # level that starts from zero and a fine one that starts nested
+    @pytest.mark.parametrize("h, levels", [(1 / 8, 1), (1 / 20, 2)])
+    def test_zero_start_level_starts_from_its_load(self, monkeypatch, h, levels):
+        prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, h)
+        calls = residual_calls(monkeypatch)
+        sol = solve_monolithic(prob, mesh)
+        counted = list(calls)
+        # the same solve with Newton evaluating its own start residual
+        calls.clear()
+        monkeypatch.setattr(oracle, "sparse_newton",
+                            lambda *args, r0=None, **kwargs: sparse_newton(*args, **kwargs))
+        again = solve_monolithic(prob, mesh)
+        assert again.field.data.tobytes() == sol.field.data.tobytes()
+        assert again.newton_iterations == sol.newton_iterations
+        assert sum(counted) == levels  # one residual at zero per level: its load
+        assert len(calls) == len(counted) + 1  # one more at the zero-start level
+
+
 class TestNestedReference:
     # 3 x 2 at h = 1/20 has 40 cells across its shorter side: one coarse level
     @pytest.mark.parametrize("make_problem", [cubic_reaction_problem, p_laplace_problem])
@@ -245,12 +278,13 @@ class TestNestedReference:
         prob, mesh = cubic_reaction_problem(), build_rect_mesh(3, 2, 1 / 20)
         calls = []
 
-        def failing_chord(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord=True):
+        def failing_chord(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord=True,
+                          r0=None):
             calls.append((len(u0), held, chord))
             if chord:
                 held.refactor(jacobian_fn(u0))
                 raise NonConvergence("nested start failed", iterations=1)
-            return sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord)
+            return sparse_newton(residual_fn, jacobian_fn, u0, tol, max_iter, held, chord, r0)
 
         monkeypatch.setattr(oracle, "sparse_newton", failing_chord)
         solve_monolithic(prob, mesh)

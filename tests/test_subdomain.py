@@ -469,6 +469,36 @@ class TestSolveRepeat:
         assert ws.newton_iters == steps
         assert again.data.tobytes() == first.tobytes()
 
+    @pytest.mark.parametrize("kind", SOLVE_KINDS)
+    def test_repeat_assembles_nothing(self, coarse_setup, monkeypatch, kind):
+        # the repeat's start residual is the last one its first solve assembled
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        first = _call_solve(ws, kind).data.copy()
+        calls = []
+        original = Assembler.residual
+        monkeypatch.setattr(Assembler, "residual",
+                            lambda self, u, p: calls.append(u.copy()) or original(self, u, p))
+        again = _call_solve(ws, kind)
+        assert calls == []
+        assert again.data.tobytes() == first.tobytes()
+
+    def test_repeat_after_another_solve_assembles_its_start(self, coarse_setup, monkeypatch):
+        # a correction solve in between assembles the residuals of another
+        # problem and keeps the Dirichlet pairs, so the repeated Dirichlet
+        # solve assembles its start, and only that
+        prob, mesh, decomp, _, _ = coarse_setup
+        ws = SubdomainWorkspace(mesh, decomp, prob, 1)
+        first = _call_solve(ws, "dirichlet").data.copy()
+        _call_solve(ws, "correction")
+        calls = []
+        original = Assembler.residual
+        monkeypatch.setattr(Assembler, "residual",
+                            lambda self, u, p: calls.append(u.copy()) or original(self, u, p))
+        again = _call_solve(ws, "dirichlet")
+        assert [u.tobytes() for u in calls] == [first.tobytes()]
+        assert again.data.tobytes() == first.tobytes()
+
     def test_last_neumann_is_a_copy(self, coarse_setup):
         prob, mesh, decomp, _, _ = coarse_setup
         ws = SubdomainWorkspace(mesh, decomp, prob, 1)

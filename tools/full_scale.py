@@ -1,4 +1,5 @@
-"""Full-scale timings: the reference solve, a DN and an RR run at h = 1/128 and 1/256.
+"""Full-scale timings: the reference solve, a DN and an RR run at h = 1/128 and
+1/256, and the headroom of acceptance criterion 9's NN run.
 
     python tools/full_scale.py --src SRC --label NAME [--out BENCH_full.json]
 
@@ -13,7 +14,13 @@ process at a time, and reports its own peak resident set size:
 - ``dn``, ``rr``: ``ddsemi run --method dn|rr --h H`` into an empty output
   directory, so the reference cache starts empty: wall seconds of the
   command (mesh, decomposition, reference and run), outer steps,
-  factorizations, final error and peak RSS.
+  factorizations, final error and peak RSS;
+- ``crit9-nn``, once, at h = 1/64: criterion 9's Neumann-Neumann run of
+  ``tests/test_acceptance.py`` (p-Laplace problem, vertical cut at x = 1.5,
+  s1 = s2 = 0.02, stop_tol 1e-11, at most 300 steps), its reference and
+  workspaces included: seconds against the criterion's 600 s budget,
+  termination, factorizations, Newton steps and peak RSS. A line
+  "criterion 9 headroom" prints the seconds left of that budget.
 
 Runs are appended to the output file under NAME, so that two trees run
 alternately land side by side; the file also records the machine.
@@ -33,6 +40,9 @@ from fractions import Fraction
 SIZES = ("1/128", "1/256")
 CASES = ("ref-cubic", "ref-plaplace", "dn", "rr")
 WIDTH, HEIGHT = 3.0, 2.0
+# criterion 9 of tests/test_acceptance.py: its budget in seconds and mesh size
+CRITERION_9_BUDGET_S = 600
+CRITERION_9_H = "1/64"
 
 
 def _peak_rss_mb():
@@ -58,6 +68,8 @@ def run_case(case, h):
                 "factorizations": summary["factorizations"],
                 "final_error": summary["final_error"],
                 "termination": summary["termination"], "peak_rss_mb": _peak_rss_mb()}
+    if case == "crit9-nn":
+        return criterion_9_nn(h)
     make = {"ref-cubic": problems.cubic_reaction_problem,
             "ref-plaplace": problems.p_laplace_problem}[case]
     prob, mesh = make(), build_rect_mesh(WIDTH, HEIGHT, float(Fraction(h)))
@@ -66,6 +78,48 @@ def run_case(case, h):
     seconds = time.perf_counter() - start
     return {"seconds": seconds, "newton_steps": sol.newton_iterations,
             "residual": sol.residual_norm, "peak_rss_mb": _peak_rss_mb()}
+
+
+def criterion_9_nn(h):
+    """Criterion 9's NN run on the p-Laplace problem, set-up included, timed
+    as one span; the acceptance test builds the same objects."""
+    from ddsemi.iterations import NNConfig, run_neumann_neumann
+    from ddsemi.mesh import build_rect_mesh, decompose_vertical
+    from ddsemi.oracle import solve_monolithic
+    from ddsemi.problems import p_laplace_problem
+    from ddsemi.subdomain import SubdomainWorkspace
+
+    start = time.perf_counter()
+    prob, mesh = p_laplace_problem(), build_rect_mesh(WIDTH, HEIGHT, float(Fraction(h)))
+    decomp = decompose_vertical(mesh, 1.5)
+    ref = solve_monolithic(prob, mesh, newton_rtol=1e-12)
+    ws1, ws2 = (SubdomainWorkspace(mesh, decomp, prob, side, newton_rtol=1e-12)
+                for side in (1, 2))
+    report = run_neumann_neumann(NNConfig(s1=0.02, s2=0.02, stop_tol=1e-11, max_iter=300),
+                                 ws1, ws2, ref)
+    seconds = time.perf_counter() - start
+    return {"seconds": seconds, "budget_s": CRITERION_9_BUDGET_S,
+            "headroom_s": CRITERION_9_BUDGET_S - seconds, "termination": report.termination,
+            "factorizations": report.factorizations,
+            "newton_steps": sum(row.newton1 + row.newton2 for row in report.rows),
+            "min_error": report.min_error, "peak_rss_mb": _peak_rss_mb()}
+
+
+def run_child(args, env, case, h):
+    """Run one case in a fresh process; returns its record, or None when it failed."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", args.src,
+                           "--label", args.label, "--child", case, h],
+                          env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        print(proc.stdout + proc.stderr, file=sys.stderr)
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def save(results, path):
+    with open(path, "w") as f:
+        json.dump(results, f, indent=1, sort_keys=True)
+        f.write("\n")
 
 
 def machine():
@@ -106,20 +160,23 @@ def main(argv=None):
             results = json.load(f)
     results["machine"] = machine()
     tree = results.setdefault("trees", {}).setdefault(args.label, {})
+    record = run_child(args, env, "crit9-nn", CRITERION_9_H)
+    if record is None:
+        return 1
+    tree.setdefault(f"h={CRITERION_9_H}", {}).setdefault("crit9-nn", []).append(record)
+    save(results, args.out)
+    print(f"{args.label} criterion 9 headroom: NN run {record['seconds']:.1f} s of its "
+          f"{CRITERION_9_BUDGET_S} s budget, {record['headroom_s']:.1f} s left "
+          f"({record['termination']}, {record['factorizations']} factorizations, "
+          f"{record['newton_steps']} Newton steps)", flush=True)
     for h in SIZES:
         for case in CASES:
-            proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", args.src,
-                                   "--label", args.label, "--child", case, h],
-                                  env=env, capture_output=True, text=True, check=False)
-            if proc.returncode != 0:
-                print(proc.stdout + proc.stderr, file=sys.stderr)
+            record = run_child(args, env, case, h)
+            if record is None:
                 return 1
-            record = json.loads(proc.stdout.strip().splitlines()[-1])
             tree.setdefault(f"h={h}", {}).setdefault(case, []).append(record)
             print(f"{args.label} h={h} {case}: {record}", flush=True)
-            with open(args.out, "w") as f:
-                json.dump(results, f, indent=1, sort_keys=True)
-                f.write("\n")
+            save(results, args.out)
     return 0
 
 

@@ -10,6 +10,10 @@ output directory:
 - ``ddsemi run --method all --h 1/8,1/16 --no-timing``
 - ``ddsemi run --method all --h 1/24 --no-timing``
 - ``ddsemi compare --h 1/16 --workers 2 --no-timing``
+- ``ddsemi run --method all --h 1/8,1/16 --interface
+  "staircase:1.5,0;1.5,1;2,1;2,2" --no-timing``
+- ``ddsemi run --method dn --h 1/8 --interface vertical:3/2 --no-timing``
+  (the fraction form of the default interface)
 
 It then prints "same" or "DIFF" for every output file (the reference
 ``cache/`` included; a file that only one tree wrote is a DIFF) and for
@@ -30,6 +34,10 @@ COMMANDS = (
     ("run-h8-h16", ["run", "--method", "all", "--h", "1/8,1/16", "--no-timing"]),
     ("run-h24", ["run", "--method", "all", "--h", "1/24", "--no-timing"]),
     ("compare-h16", ["compare", "--h", "1/16", "--workers", "2", "--no-timing"]),
+    ("staircase-h8-h16", ["run", "--method", "all", "--h", "1/8,1/16", "--interface",
+                          "staircase:1.5,0;1.5,1;2,1;2,2", "--no-timing"]),
+    ("fraction-h8", ["run", "--method", "dn", "--h", "1/8", "--interface", "vertical:3/2",
+                     "--no-timing"]),
 )
 MAIN = "import sys; from ddsemi.cli import main; sys.exit(main(sys.argv[1:]))"
 
